@@ -164,8 +164,8 @@ class ChannelScene:
             raise ValueError(f"sensors must have shape (N, 2) or (T, N, 2), got {sens.shape}")
         if not np.all(np.isfinite(sens)) or not np.all(np.isfinite(ref)):
             raise ValueError("positions must be finite")
-        if self.sigma_xi_sq < 0.0:
-            raise ValueError("sigma_xi_sq must be >= 0")
+        if not 0.0 <= self.sigma_xi_sq < np.inf:
+            raise ValueError("sigma_xi_sq must be finite and >= 0")
         if len(self.state_map.theta_bindings) != self.kernel.n_params:
             raise ValueError("state map must bind exactly the kernel's parameters")
         d = np.linalg.norm(sens - ref, axis=-1)

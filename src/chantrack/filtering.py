@@ -60,9 +60,7 @@ class GridFilter:
     """Sequential tracking session over a fixed grid, chain and scene.
 
     Single-owner mutable state: one caller drives ``step``; read-only
-    ``estimate`` queries between steps are safe.  With ``use_cache=False``
-    the observation-covariance factors are rebuilt on every update, which
-    is only useful for verifying cache transparency.
+    ``estimate`` queries between steps are safe.
     """
 
     def __init__(
@@ -72,7 +70,6 @@ class GridFilter:
         scene: ChannelScene,
         initial_belief: np.ndarray,
         rho: int = 0,
-        use_cache: bool = True,
     ):
         if transition.n_cells != grid.n_cells:
             raise ValueError("transition matrix size does not match the grid")
@@ -102,8 +99,7 @@ class GridFilter:
         thetas = scene.state_map.theta_of(self.X.T)
         self.group_thetas, self.group_index = _stable_unique_rows(thetas)
         self.group_cells = [np.flatnonzero(self.group_index == u) for u in range(len(self.group_thetas))]
-        self._use_cache = use_cache and scene.static
-        self._cached_factors = self._build_factors(0) if self._use_cache else None
+        self._cached_factors = self._build_factors(0) if scene.static else None
 
     @property
     def n_cells(self) -> int:
@@ -124,9 +120,7 @@ class GridFilter:
 
     def factors_at(self, t: int) -> list[tuple[np.ndarray, float]]:
         """Cholesky factor and log-determinant of the observation covariance per parameter group."""
-        if self._use_cache:
-            return self._cached_factors
-        return self._build_factors(t)
+        return self._cached_factors if self.scene.static else self._build_factors(t)
 
     def likelihood_vector(self, obs: ObservationBatch) -> np.ndarray:
         """Per-cell observation likelihoods rescaled so the largest entry is 1.
@@ -171,9 +165,11 @@ class GridFilter:
         # rho = 0 keeps P_rho = identity; its matvec is skipped (bitwise no-op).
         return self.P_rho @ self.belief if self.rho else self.belief
 
-    def estimate(self) -> np.ndarray:
-        """State estimate ``rho`` steps ahead of the last processed observation."""
-        return self.X @ self._propagated_belief()
+    def estimate(self, rho: int | None = None) -> np.ndarray:
+        """State estimate ``rho`` (default: the session's horizon) steps past the last observation."""
+        if rho is None or rho == self.rho:
+            return self.X @ self._propagated_belief()
+        return self.X @ (transition_power(self.transition, rho) @ self.belief)
 
     def functional_estimate(self, profile: np.ndarray) -> np.ndarray:
         """Estimate of any per-cell profile: column ``l`` holds the functional at center ``l``."""

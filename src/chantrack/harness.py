@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,16 +96,46 @@ class PhaseFailure(RuntimeError):
         self.phase = phase
 
 
-def _require(data, path: str, allowed: dict):
-    """Check ``data`` is a dict whose keys are all known, with required ones present."""
+_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _convert(value, path: str, kind, depth: int = 0):
+    """``value`` as ``kind`` nested ``depth`` lists deep; a nested config's reader is called.
+
+    No JSON type is coerced into another (a string is not a number or a
+    list, a bool is not a number), except that an integer reads as a float.
+    """
+    if depth:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(_convert(v, f"{path}[{i}]", kind, depth - 1) for i, v in enumerate(value))
+    if kind not in _SCALARS:
+        return kind(value, path)
+    if isinstance(value, bool) or not isinstance(value, _SCALARS[kind]):
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _read(data, path: str, fields: dict, required=()) -> dict:
+    """The fields of the JSON object ``data`` as keyword arguments.
+
+    ``fields`` maps each allowed name to ``kind`` or ``(kind, depth)`` for
+    :func:`_convert`.  Unknown, missing required or mistyped fields raise
+    ``ConfigError`` naming the field; absent optional ones are left out, so
+    the dataclass defaults apply.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object")
-    for key in data:
-        if key not in allowed:
+    out = {}
+    for key, value in data.items():
+        if key not in fields:
             raise ConfigError(f"unknown field {key!r} in {path}")
-    for key, required in allowed.items():
-        if required and key not in data:
+        kind, depth = fields[key] if isinstance(fields[key], tuple) else (fields[key], 0)
+        out[key] = _convert(value, f"{path}.{key}", kind, depth)
+    for key in required:
+        if key not in data:
             raise ConfigError(f"missing field {key!r} in {path}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,8 +146,8 @@ class GridConfig:
 
     @staticmethod
     def from_dict(data, path="grid"):
-        _require(data, path, {"lower": True, "upper": True, "cells": True})
-        return GridConfig(tuple(data["lower"]), tuple(data["upper"]), tuple(data["cells"]))
+        fields = {"lower": (float, 1), "upper": (float, 1), "cells": (int, 1)}
+        return GridConfig(**_read(data, path, fields, required=fields))
 
 
 @dataclass(frozen=True)
@@ -129,24 +161,16 @@ class DynamicsConfig:
 
     @staticmethod
     def from_dict(data, path="dynamics"):
-        _require(
-            data,
-            path,
-            {"kind": True, "gamma": False, "initial_state": False, "points": False, "matrix": False, "initial_index": False},
-        )
-        kind = data["kind"]
-        if kind not in ("coupled_tanh", "finite_chain"):
-            raise ConfigError(f"{path}.kind must be 'coupled_tanh' or 'finite_chain', got {kind!r}")
-        if kind == "finite_chain" and ("points" not in data or "matrix" not in data):
+        fields = {
+            "kind": str, "gamma": float, "initial_state": (float, 1), "points": (float, 2), "matrix": (float, 2),
+            "initial_index": int,
+        }
+        cfg = DynamicsConfig(**_read(data, path, fields, required=("kind",)))
+        if cfg.kind not in ("coupled_tanh", "finite_chain"):
+            raise ConfigError(f"{path}.kind must be 'coupled_tanh' or 'finite_chain', got {cfg.kind!r}")
+        if cfg.kind == "finite_chain" and (cfg.points is None or cfg.matrix is None):
             raise ConfigError(f"{path}: finite_chain dynamics need 'points' and 'matrix'")
-        return DynamicsConfig(
-            kind=kind,
-            gamma=float(data.get("gamma", 1.6)),
-            initial_state=tuple(data.get("initial_state", (2.0, 25.3))),
-            points=tuple(tuple(r) for r in data["points"]) if "points" in data else None,
-            matrix=tuple(tuple(r) for r in data["matrix"]) if "matrix" in data else None,
-            initial_index=int(data.get("initial_index", 0)),
-        )
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -157,12 +181,7 @@ class TransitionBudget:
 
     @staticmethod
     def from_dict(data, path="transition"):
-        _require(data, path, {"samples_per_cell": False, "n_paths": False, "path_length": False})
-        return TransitionBudget(
-            samples_per_cell=int(data.get("samples_per_cell", 10_000)),
-            n_paths=int(data.get("n_paths", 100)),
-            path_length=int(data.get("path_length", 10_000)),
-        )
+        return TransitionBudget(**_read(data, path, {"samples_per_cell": int, "n_paths": int, "path_length": int}))
 
 
 @dataclass(frozen=True)
@@ -173,17 +192,20 @@ class SensorConfig:
 
     @staticmethod
     def from_dict(data, path="scene.sensors"):
-        _require(data, path, {"kind": True, "n": False, "positions": False})
-        kind = data["kind"]
-        if kind not in ("lattice", "fixed"):
-            raise ConfigError(f"{path}.kind must be 'lattice' or 'fixed', got {kind!r}")
-        if kind == "fixed" and "positions" not in data:
+        cfg = SensorConfig(**_read(data, path, {"kind": str, "n": int, "positions": (float, 2)}, required=("kind",)))
+        if cfg.kind not in ("lattice", "fixed"):
+            raise ConfigError(f"{path}.kind must be 'lattice' or 'fixed', got {cfg.kind!r}")
+        if cfg.kind == "fixed" and cfg.positions is None:
             raise ConfigError(f"{path}: fixed sensors need 'positions'")
-        return SensorConfig(
-            kind=kind,
-            n=int(data.get("n", 30)),
-            positions=tuple(tuple(r) for r in data["positions"]) if "positions" in data else None,
-        )
+        return cfg
+
+
+def _kernel_binding(data, path: str) -> tuple:
+    """One kernel parameter binding, ``{"state": i}`` or ``{"const": v}``, as ``(tag, value)``."""
+    binding = _read(data, path, {"state": int, "const": float})
+    if len(binding) != 1:
+        raise ConfigError(f"{path} must set exactly one of 'state' or 'const'")
+    return next(iter(binding.items()))
 
 
 @dataclass(frozen=True)
@@ -193,14 +215,7 @@ class KernelConfig:
 
     @staticmethod
     def from_dict(data, path="scene.kernel"):
-        _require(data, path, {"form": False, "params": True})
-        params = []
-        for i, binding in enumerate(data["params"]):
-            _require(binding, f"{path}.params[{i}]", {"state": False, "const": False})
-            if ("state" in binding) == ("const" in binding):
-                raise ConfigError(f"{path}.params[{i}] must set exactly one of 'state' or 'const'")
-            params.append(("state", int(binding["state"])) if "state" in binding else ("const", float(binding["const"])))
-        return KernelConfig(form=data.get("form", "exponential-isotropic"), params=tuple(params))
+        return KernelConfig(**_read(data, path, {"form": str, "params": (_kernel_binding, 1)}, required=("params",)))
 
 
 @dataclass(frozen=True)
@@ -213,14 +228,11 @@ class SceneConfig:
 
     @staticmethod
     def from_dict(data, path="scene"):
-        _require(data, path, {"ref_pos": True, "sensors": True, "sigma_xi_sq": True, "kernel": True, "mu_index": False})
-        return SceneConfig(
-            ref_pos=tuple(data["ref_pos"]),
-            sensors=SensorConfig.from_dict(data["sensors"]),
-            sigma_xi_sq=float(data["sigma_xi_sq"]),
-            kernel=KernelConfig.from_dict(data["kernel"]),
-            mu_index=int(data.get("mu_index", 0)),
-        )
+        fields = {
+            "ref_pos": (float, 1), "sensors": SensorConfig.from_dict, "sigma_xi_sq": float,
+            "kernel": KernelConfig.from_dict, "mu_index": int,
+        }
+        return SceneConfig(**_read(data, path, fields, required=("ref_pos", "sensors", "sigma_xi_sq", "kernel")))
 
 
 @dataclass(frozen=True)
@@ -231,9 +243,8 @@ class QueryGridConfig:
 
     @staticmethod
     def from_dict(data, path="query_grid"):
-        _require(data, path, {"nx": True, "ny": True, "region": True})
-        region = tuple(tuple(float(v) for v in axis) for axis in data["region"])
-        return QueryGridConfig(nx=int(data["nx"]), ny=int(data["ny"]), region=region)
+        fields = {"nx": int, "ny": int, "region": (float, 2)}
+        return QueryGridConfig(**_read(data, path, fields, required=fields))
 
 
 @dataclass(frozen=True)
@@ -241,13 +252,13 @@ class ScenarioConfig:
     grid: GridConfig
     dynamics: DynamicsConfig
     quantization: str
-    transition: TransitionBudget
     scene: SceneConfig
     timesteps: int
-    horizon: int
     query_grid: QueryGridConfig
-    map_snapshots: tuple[int, ...]
     seed: int
+    transition: TransitionBudget = TransitionBudget()
+    horizon: int = 0
+    map_snapshots: tuple[int, ...] = ()
     out_dir: str | None = None
 
     def validate(self) -> "ScenarioConfig":
@@ -280,8 +291,8 @@ class ScenarioConfig:
         for i, (tag, value) in enumerate(sc.kernel.params):
             if tag == "state" and not 0 <= int(value) < grid.ndim:
                 raise ConfigError(f"scene.kernel.params[{i}] binds a state coordinate outside the grid")
-        if sc.sigma_xi_sq < 0:
-            raise ConfigError("scene.sigma_xi_sq must be >= 0")
+        if not 0.0 <= sc.sigma_xi_sq < np.inf:
+            raise ConfigError("scene.sigma_xi_sq must be finite and >= 0")
         if sc.sensors.kind == "lattice":
             if sc.sensors.n < 1:
                 raise ConfigError("scene.sensors.n must be >= 1")
@@ -307,37 +318,21 @@ class ScenarioConfig:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    _require(
-        data,
-        "config",
-        {
-            "grid": True,
-            "dynamics": True,
-            "quantization": True,
-            "transition": False,
-            "scene": True,
-            "timesteps": True,
-            "horizon": False,
-            "query_grid": True,
-            "map_snapshots": False,
-            "seed": True,
-            "out_dir": False,
-        },
-    )
-    cfg = ScenarioConfig(
-        grid=GridConfig.from_dict(data["grid"]),
-        dynamics=DynamicsConfig.from_dict(data["dynamics"]),
-        quantization=str(data["quantization"]),
-        transition=TransitionBudget.from_dict(data.get("transition", {})),
-        scene=SceneConfig.from_dict(data["scene"]),
-        timesteps=int(data["timesteps"]),
-        horizon=int(data.get("horizon", 0)),
-        query_grid=QueryGridConfig.from_dict(data["query_grid"]),
-        map_snapshots=tuple(int(k) for k in data.get("map_snapshots", ())),
-        seed=int(data["seed"]),
-        out_dir=data.get("out_dir"),
-    )
-    return cfg.validate()
+    fields = {
+        "grid": GridConfig.from_dict,
+        "dynamics": DynamicsConfig.from_dict,
+        "quantization": str,
+        "scene": SceneConfig.from_dict,
+        "timesteps": int,
+        "query_grid": QueryGridConfig.from_dict,
+        "seed": int,
+        "transition": TransitionBudget.from_dict,
+        "horizon": int,
+        "map_snapshots": (int, 1),
+        "out_dir": str,
+    }
+    required = ("grid", "dynamics", "quantization", "scene", "timesteps", "query_grid", "seed")
+    return ScenarioConfig(**_read(data, "config", fields, required)).validate()
 
 
 def config_from_json(path) -> ScenarioConfig:
@@ -496,29 +491,21 @@ def _write_map(path: Path, points, true_gain, pred_gain):
     path.write_text("\n".join(lines) + "\n")
 
 
-class _PhaseSpan:
-    def __init__(self, timer: "_PhaseTimer", name: str):
-        self._timer = timer
-        self._name = name
+@contextmanager
+def _phase(runtime_s: dict[str, float], name: str):
+    """Add the phase's elapsed time to ``runtime_s[name]`` and raise its failures as ``PhaseFailure``.
 
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self._start
-        self._timer.runtime_s[self._name] = self._timer.runtime_s.get(self._name, 0.0) + elapsed
-        if exc is not None and not isinstance(exc, PhaseFailure):
-            raise PhaseFailure(self._name, exc) from exc
-        return False
-
-
-class _PhaseTimer:
-    def __init__(self):
-        self.runtime_s: dict[str, float] = {}
-
-    def __call__(self, name: str) -> _PhaseSpan:
-        return _PhaseSpan(self, name)
+    A ``PhaseFailure`` from a nested phase passes through, keeping the inner name.
+    """
+    start = time.perf_counter()
+    try:
+        yield
+    except PhaseFailure:
+        raise
+    except Exception as e:
+        raise PhaseFailure(name, e) from e
+    finally:
+        runtime_s[name] = runtime_s.get(name, 0.0) + time.perf_counter() - start
 
 
 def run_experiment(
@@ -534,24 +521,24 @@ def run_experiment(
     ``cfg.out_dir`` is set; metric computation happens regardless.
     """
     cfg.validate()
-    timer = _PhaseTimer()
+    runtime_s: dict[str, float] = {}
     # Stream layout: one child per consumer, in this fixed order.
     sensor_ss, transition_ss, initial_ss, truth_ss, obs_ss = np.random.SeedSequence(cfg.seed).spawn(5)
 
-    with timer("setup"):
+    with _phase(runtime_s, "setup"):
         grid = build_grid(cfg)
         dyn = build_dynamics(cfg)
         scene = build_scene(cfg, np.random.default_rng(sensor_ss))
         queries = query_points(cfg)
         observation_conditioning(scene, 0, scene.state_map.theta_of(reconstruction_matrix(grid).T))
 
-    with timer("transition"):
+    with _phase(runtime_s, "transition"):
         if transition is None:
             transition = estimate_transition(cfg, dyn, grid, np.random.default_rng(transition_ss))
         elif transition.n_cells != grid.n_cells:
             raise ValueError("provided transition matrix does not match the grid")
 
-    with timer("simulate"), single_thread_blas():
+    with _phase(runtime_s, "simulate"), single_thread_blas():
         T, rho = cfg.timesteps, cfg.horizon
         trajectory = simulate_trajectory(dyn, T + rho, np.random.default_rng(truth_ss))
         field_times = {k + rho: k for k in cfg.map_snapshots}
@@ -576,16 +563,15 @@ def run_experiment(
 
     def snapshot_maps(session_, obs_, record_):
         if obs_.t in snapshot_set:
-            with timer("predict"):
+            with _phase(runtime_s, "predict"):
                 pred_maps[obs_.t] = predict_gain_map(session_, obs_, spec)
 
-    track_start = time.perf_counter()
-    with timer("track"):
+    runtime_s["predict"] = 0.0
+    with _phase(runtime_s, "track"):
         prior = initial_belief(dyn, grid, rng=np.random.default_rng(initial_ss))
         session = GridFilter(grid, transition, scene, prior, rho=rho)
         records = session.run_tracking(observations, on_record=snapshot_maps)
-    timer.runtime_s["track"] = time.perf_counter() - track_start - timer.runtime_s.get("predict", 0.0)
-    timer.runtime_s.setdefault("predict", 0.0)
+    runtime_s["track"] -= runtime_s["predict"]  # the predict phase runs nested inside track
 
     times = np.array([r.t for r in records])
     estimates = np.stack([r.estimate for r in records])
@@ -601,12 +587,12 @@ def run_experiment(
         rmse_state=rmse_state,
         rmse_map=rmse_map,
         resets=session.reset_count,
-        runtime_s=timer.runtime_s,
+        runtime_s=runtime_s,
         resolved_seed=cfg.seed,
     )
 
     if cfg.out_dir is not None:
-        with timer("write"):
+        with _phase(runtime_s, "write"):
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             metrics.out_dir = out
@@ -624,7 +610,7 @@ def run_experiment(
                 "rmse_state": [float(v) for v in rmse_state],
                 "rmse_map": {str(k): v for k, v in rmse_map.items()},
                 "resets": metrics.resets,
-                "runtime_s": timer.runtime_s,
+                "runtime_s": runtime_s,
                 "resolved_seed": cfg.seed,
                 "config": echo,
             }

@@ -3,14 +3,16 @@
 For the filtering horizon (``rho = 0``) the predicted gain at a query point
 is the belief-weighted average, over grid cells, of the Gaussian
 conditional mean of the gain given that cell's state and the current
-observations.  For ``rho >= 1`` the observation carries no extra
-information beyond the propagated state belief, so the prediction reduces
-to the query's path-loss coefficient times the predicted path-loss
-exponent.
-
-A gain map evaluates many query points against one observation: the
-per-cell covariance solves are done once and shared across queries, so
-only the query-to-sensor cross-covariances vary per point.
+observations.  The average is linear in the belief, and the cells of one
+kernel-parameter group ``u`` share their covariance solves ``v_y, v_alpha``,
+so it collapses to one kernel-weighted sum per group,
+``pred(q) = alpha_q E[mu] + sum_u k_u(q, sensors) . (w_u v_y,u - m_u v_alpha,u)``,
+with ``w_u`` the group's belief mass and ``m_u`` its mu-weighted mass.  For
+``rho >= 1`` the observation carries no extra information beyond the
+propagated state belief, so the prediction reduces to the query's
+path-loss coefficient times the predicted path-loss exponent.
+``predict_gain_map`` is the one prediction route; ``predict_gain`` is the
+map on one point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.spatial.distance import cdist
 
 from .channel import (
     ObservationBatch,
@@ -28,7 +31,6 @@ from .channel import (
     point_path_loss,
 )
 from .filtering import GridFilter
-from .markov import transition_power
 from .util import single_thread_blas
 
 __all__ = ["QuerySpec", "kriging_mean", "gain_profile", "predict_gain", "predict_gain_map"]
@@ -83,68 +85,62 @@ def _cell_solves(session: GridFilter, obs: ObservationBatch) -> tuple[np.ndarray
     n_groups = len(session.group_thetas)
     v_y = np.empty((n_groups, obs.n_sensors))
     v_alpha = np.empty_like(v_y)
-    for u, (factor, _) in enumerate(session.factors_at(obs.t)):
-        key = (factor, True)
-        v_y[u] = cho_solve(key, obs.y, check_finite=False)
-        v_alpha[u] = cho_solve(key, obs.alpha, check_finite=False)
+    with single_thread_blas():
+        for u, (factor, _) in enumerate(session.factors_at(obs.t)):
+            key = (factor, True)
+            v_y[u] = cho_solve(key, obs.y, check_finite=False)
+            v_alpha[u] = cho_solve(key, obs.alpha, check_finite=False)
     return v_y, v_alpha
-
-
-def _gain_profile(session: GridFilter, obs: ObservationBatch, query, solves) -> np.ndarray:
-    """Conditional gain mean at ``query`` for every grid cell, from shared solves."""
-    scene = session.scene
-    alpha_q = float(point_path_loss(scene.ref_pos, np.asarray(query, dtype=float)[None, :], label="query point")[0])
-    d = np.linalg.norm(scene.sensors_at(obs.t) - np.asarray(query, dtype=float), axis=-1)
-    cross = kernel_eval(scene.kernel, d[None, :], session.group_thetas[:, None, :])
-    v_y, v_alpha = solves
-    s_y = np.einsum("un,un->u", cross, v_y)[session.group_index]
-    s_alpha = np.einsum("un,un->u", cross, v_alpha)[session.group_index]
-    mu = session.mus
-    return alpha_q * mu + (s_y - mu * s_alpha)
 
 
 def gain_profile(session: GridFilter, obs: ObservationBatch, query) -> np.ndarray:
     """Conditional gain mean at ``query`` evaluated at every reconstruction point."""
     if obs.n_sensors != session.scene.n_sensors:
         raise ValueError("observation dimension does not match the scene")
-    with single_thread_blas():
-        return _gain_profile(session, obs, query, _cell_solves(session, obs))
-
-
-def _propagated_estimate(session: GridFilter, rho: int) -> np.ndarray:
-    if rho == session.rho:
-        return session.estimate()
-    return session.X @ (transition_power(session.transition, rho) @ session.belief)
+    scene = session.scene
+    query = np.asarray(query, dtype=float)
+    alpha_q = float(point_path_loss(scene.ref_pos, query[None, :], label="query point")[0])
+    d = np.linalg.norm(scene.sensors_at(obs.t) - query, axis=-1)
+    cross = kernel_eval(scene.kernel, d[None, :], session.group_thetas[:, None, :])
+    v_y, v_alpha = _cell_solves(session, obs)
+    s_y = np.einsum("un,un->u", cross, v_y)[session.group_index]
+    s_alpha = np.einsum("un,un->u", cross, v_alpha)[session.group_index]
+    mu = session.mus
+    return alpha_q * mu + (s_y - mu * s_alpha)
 
 
 def predict_gain(session: GridFilter, obs: ObservationBatch, query, rho: int | None = None) -> float:
     """Predicted gain at ``query``, ``rho`` steps past the last observation.
 
-    ``rho = 0`` averages the per-cell conditional means under the current
-    belief; ``rho >= 1`` uses only the propagated state estimate (the
-    current observation is conditionally irrelevant at future times).
+    The gain map of :func:`predict_gain_map` on the one point ``query``;
+    ``rho`` defaults to the session's horizon.
     """
     rho = session.rho if rho is None else int(rho)
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    if rho == 0:
-        with single_thread_blas():
-            return float(_gain_profile(session, obs, query, _cell_solves(session, obs)) @ session.belief)
-    alpha_q = float(point_path_loss(session.scene.ref_pos, np.asarray(query, dtype=float)[None, :], label="query point")[0])
-    estimate = _propagated_estimate(session, rho)
-    return float(alpha_q * estimate[session.scene.state_map.mu_index])
+    return float(predict_gain_map(session, obs, QuerySpec(np.asarray(query, dtype=float)[None, :], rho))[0])
 
 
 def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QuerySpec) -> np.ndarray:
-    """Predicted gain at every query point of a :class:`QuerySpec`."""
+    """Predicted gain at every query point of a :class:`QuerySpec`.
+
+    For ``rho = 0``, ``alpha_q (mus @ belief) + sum_u k_u(q, sensors) . (w_u v_y,u - m_u v_alpha,u)``
+    with a loop over the parameter groups ``u`` only.  Each ``(Q, N)`` kernel
+    block is reduced with ``einsum``, not a BLAS GEMV, so a point's value does
+    not depend on how many points share the call.
+    """
     if obs.n_sensors != session.scene.n_sensors:
         raise ValueError("observation dimension does not match the scene")
-    alpha_q = point_path_loss(session.scene.ref_pos, queries.points, label="query point")
-    if queries.rho == 0:
-        with single_thread_blas():
-            solves = _cell_solves(session, obs)
-            return np.array(
-                [_gain_profile(session, obs, q, solves) @ session.belief for q in queries.points]
-            )
-    estimate = _propagated_estimate(session, queries.rho)
-    return alpha_q * estimate[session.scene.state_map.mu_index]
+    scene = session.scene
+    alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
+    if queries.rho:
+        return alpha_q * session.estimate(queries.rho)[scene.state_map.mu_index]
+    belief = session.belief
+    n_groups = len(session.group_thetas)
+    mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
+    mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
+    v_y, v_alpha = _cell_solves(session, obs)
+    coeffs = mass[:, None] * v_y - mu_mass[:, None] * v_alpha
+    d = cdist(queries.points, scene.sensors_at(obs.t))
+    pred = alpha_q * (session.mus @ belief)
+    for theta, c in zip(session.group_thetas, coeffs):
+        pred += np.einsum("qn,n->q", kernel_eval(scene.kernel, d, theta), c)
+    return pred

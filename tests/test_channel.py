@@ -50,6 +50,12 @@ def test_path_loss_singularity_names_sensor():
         point_path_loss(scene.ref_pos, np.array([[25.0, 10.0]]), label="query point")
 
 
+@pytest.mark.parametrize("sigma_xi_sq", [-1.0, np.nan, np.inf])
+def test_scene_rejects_invalid_noise_variance(sigma_xi_sq):
+    with pytest.raises(ValueError, match="sigma_xi_sq"):
+        make_scene([[26.0, 10.0]], sigma_xi_sq=sigma_xi_sq)
+
+
 def test_kernel_examples():
     assert kernel_eval(KERNEL, 0.0, [25.0, 10.0]) == 25.0
     assert kernel_eval(KERNEL, 10.0, [25.0, 10.0]) == pytest.approx(25 * math.exp(-1), abs=1e-12)

@@ -67,6 +67,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value", [("timesteps", "x"), ("seed", "abc"), ("map_snapshots", "12")]
+)
+def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, field, value):
+    cfg = json.loads(config_path.read_text())
+    cfg[field] = value
+    config_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_missing_out_dir_is_config_error(config_path, capsys):
     assert main(["experiment", "--config", str(config_path)]) == 2
     assert "out_dir" in capsys.readouterr().err

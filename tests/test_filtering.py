@@ -225,19 +225,6 @@ def test_absorbing_chain_concentrates_monotonically():
     assert weight > 0.999
 
 
-def test_cache_transparency_bitwise():
-    rng = np.random.default_rng(6)
-    grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 3, 1)
-    cached = GridFilter(grid, tm, scene, prior, use_cache=True)
-    uncached = GridFilter(grid, tm, scene, prior, use_cache=False)
-    lam_a = cached.likelihood_vector(observations[0])
-    lam_b = uncached.likelihood_vector(observations[0])
-    assert np.array_equal(lam_a, lam_b)
-    # cached factors equal freshly computed ones, bit for bit
-    for (fa, la), (fb, lb) in zip(cached.factors_at(0), cached._build_factors(0)):
-        assert np.array_equal(fa, fb) and la == lb
-
-
 def test_constant_per_step_cost():
     rng = np.random.default_rng(7)
     grid = GridSpec((0.0, 20.0), (4.0, 30.0), (10, 10))

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import chantrack.harness as harness
 from chantrack.filtering import GridFilter, brute_force_posterior
 from chantrack.harness import (
     ConfigError,
+    PhaseFailure,
     ScenarioConfig,
     benchmark_config,
     config_from_dict,
@@ -101,6 +103,10 @@ def test_validation_names_offending_field():
         bad = small_config_dict()
         bad["scene"]["sensors"]["n"] = 100
         config_from_dict(bad)
+    with pytest.raises(ConfigError, match="sigma_xi_sq"):
+        bad = small_config_dict()
+        bad["scene"]["sigma_xi_sq"] = float("nan")
+        config_from_dict(bad)
 
 
 def test_config_round_trip():
@@ -127,6 +133,16 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
     assert ma.rmse_map == mb.rmse_map
     assert len(ma.timesteps) == 8
     assert (tmp_path / "a" / "metrics.json").exists()
+
+
+def test_failure_in_nested_phase_keeps_its_name(monkeypatch):
+    def broken(*args):
+        raise ValueError("broken map")
+
+    monkeypatch.setattr(harness, "predict_gain_map", broken)
+    with pytest.raises(PhaseFailure) as info:
+        run_experiment(config_from_dict(small_config_dict()))
+    assert info.value.phase == "predict"
 
 
 def test_metrics_recompute_from_artifacts(tmp_path):

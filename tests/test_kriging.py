@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from chantrack.channel import (
     point_path_loss,
     sample_observation,
 )
-from chantrack.filtering import GridFilter
+from chantrack.filtering import GridFilter, brute_force_posterior
 from chantrack.grid import GridSpec
 from chantrack.harness import random_small_scenario
 from chantrack.kriging import QuerySpec, gain_profile, kriging_mean, predict_gain, predict_gain_map
@@ -106,19 +108,7 @@ def test_gain_profile_single_cell_and_constant_grid():
     assert np.all(vals == vals[0])
 
 
-def test_gain_profile_cache_transparency():
-    rng = np.random.default_rng(1)
-    grid, tm, scene, observations, prior = random_small_scenario(rng, 5, 3, 1)
-    cached = GridFilter(grid, tm, scene, prior, use_cache=True)
-    uncached = GridFilter(grid, tm, scene, prior, use_cache=False)
-    q = np.array([3.0, 4.0])
-    assert np.array_equal(
-        gain_profile(cached, observations[0], q), gain_profile(uncached, observations[0], q)
-    )
-
-
-def test_gain_profile_benchmark_grid_cache_transparency():
-    rng = np.random.default_rng(12)
+def _benchmark_grid_scenario(rng, n_obs):
     grid = GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30))
     scene = ChannelScene(
         ref_pos=np.array([25.0, 10.0]),
@@ -129,15 +119,55 @@ def test_gain_profile_benchmark_grid_cache_transparency():
     )
     cols = rng.random((900, 900)) + 0.01
     tm = TransitionMatrix(cols / cols.sum(0), mode="markovian")
-    prior = uniform_belief(900)
-    cached = GridFilter(grid, tm, scene, prior, use_cache=True)
-    uncached = GridFilter(grid, tm, scene, prior, use_cache=False)
-    obs = sample_observation(scene, 0, np.array([2.0, 25.3]), rng)
+    observations = [sample_observation(scene, t, np.array([2.0, 25.3]), rng) for t in range(n_obs)]
+    return grid, tm, scene, observations, uniform_belief(900)
+
+
+@pytest.mark.parametrize("scenario", ["small", "benchmark_grid"])
+def test_static_sensors_match_scripted_bitwise(scenario):
+    # static sensors reuse one set of cached factors; the same positions
+    # scripted at every t rebuild them per update, and nothing may differ
+    rng = np.random.default_rng(12)
+    if scenario == "small":
+        grid, tm, scene, observations, prior = random_small_scenario(rng, 5, 3, 4)
+    else:
+        grid, tm, scene, observations, prior = _benchmark_grid_scenario(rng, 3)
+    scripted = dataclasses.replace(scene, sensors=np.repeat(scene.sensors[None], len(observations), axis=0))
     q = np.array([11.0, 22.0])
-    a = gain_profile(cached, obs, q)
-    b = gain_profile(uncached, obs, q)
-    assert a.shape == (900,)
-    assert np.array_equal(a, b)
+    spec = QuerySpec(rng.uniform(0, 40, (50, 2)))
+    results = []
+    for sc in (scene, scripted):
+        session = GridFilter(grid, tm, sc, prior)
+        beliefs = np.stack([r.belief for r in session.run_tracking(observations)])
+        obs = observations[-1]
+        factors, logdets = zip(*session.factors_at(obs.t))
+        profile = gain_profile(session, obs, q)
+        results.append((beliefs, np.array(factors), np.array(logdets), profile, predict_gain_map(session, obs, spec)))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+    assert profile.shape == (grid.n_cells,)
+
+
+def test_mobile_sensors_match_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n_obs = int(rng.integers(2, 5))
+        grid, tm, static, _, prior = random_small_scenario(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 0)
+        sensors = rng.uniform(0.0, 40.0, (n_obs, static.n_sensors, 2))
+        scene = dataclasses.replace(static, sensors=sensors)
+        states = rng.uniform(np.asarray(grid.lower), np.asarray(grid.upper), (n_obs, grid.ndim))
+        observations = [sample_observation(scene, t, x, rng) for t, x in enumerate(states)]
+        session = GridFilter(grid, tm, scene, prior)
+        beliefs = np.stack([r.belief for r in session.run_tracking(observations)])
+        reference = brute_force_posterior(grid, tm, scene, observations, prior)
+        assert np.max(np.abs(beliefs - reference)) <= 1e-10
+
+        obs = observations[-1]
+        pts = rng.uniform(0.0, 40.0, (5, 2))
+        out = predict_gain_map(session, obs, QuerySpec(pts))
+        for q, value in zip(pts, out):
+            ref = sum(b * kriging_mean(x, obs, q, scene) for b, x in zip(session.belief, session.X.T))
+            assert value == pytest.approx(ref, rel=1e-9)
 
 
 def test_predict_exact_interpolation_any_belief():
