@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -223,6 +224,22 @@ def test_absorbing_chain_concentrates_monotonically():
         assert out[1] >= weight - 1e-15
         weight = out[1]
     assert weight > 0.999
+
+
+def test_cache_transparency_bitwise():
+    # static sensors reuse cached factors; the same positions scripted for
+    # the time step rebuild them, and the likelihoods must agree bit for bit
+    rng = np.random.default_rng(6)
+    grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 3, 1)
+    scripted = dataclasses.replace(scene, sensors=scene.sensors[None])
+    cached = GridFilter(grid, tm, scene, prior)
+    uncached = GridFilter(grid, tm, scripted, prior)
+    lam_a = cached.likelihood_vector(observations[0])
+    lam_b = uncached.likelihood_vector(observations[0])
+    assert np.array_equal(lam_a, lam_b)
+    # cached factors equal freshly computed ones, bit for bit
+    for (fa, la), (fb, lb) in zip(cached.factors_at(0), cached._build_factors(0)):
+        assert np.array_equal(fa, fb) and la == lb
 
 
 def test_constant_per_step_cost():

@@ -108,6 +108,18 @@ def test_gain_profile_single_cell_and_constant_grid():
     assert np.all(vals == vals[0])
 
 
+def test_gain_profile_cache_transparency():
+    rng = np.random.default_rng(1)
+    grid, tm, scene, observations, prior = random_small_scenario(rng, 5, 3, 1)
+    scripted = dataclasses.replace(scene, sensors=scene.sensors[None])
+    cached = GridFilter(grid, tm, scene, prior)
+    uncached = GridFilter(grid, tm, scripted, prior)
+    q = np.array([3.0, 4.0])
+    assert np.array_equal(
+        gain_profile(cached, observations[0], q), gain_profile(uncached, observations[0], q)
+    )
+
+
 def _benchmark_grid_scenario(rng, n_obs):
     grid = GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30))
     scene = ChannelScene(
