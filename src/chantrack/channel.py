@@ -6,6 +6,14 @@ sum of a path-loss term ``alpha_i * mu`` with ``alpha_i = -10 log10(d_i)``,
 a zero-mean jointly Gaussian shadowing field with an isotropic exponential
 spatial kernel, and white multipath noise.  All gains are in dB and all
 distances in meters; no unit conversion happens inside these functions.
+
+The joint shadowing field is drawn one of two ways, chosen from the input
+points alone.  When the distinct sensor and query positions fill a complete
+regular ``nx x ny`` lattice, it is drawn exactly by circulant embedding
+(Wood & Chan 1994; Dietrich & Newsam 1997): FFTs only, no BLAS, so the
+draw does not depend on the BLAS thread count.  Any other point set, or a
+kernel with no nonnegative embedding within the size bound, takes the dense
+Cholesky factorization of the full covariance.
 """
 
 from __future__ import annotations
@@ -230,14 +238,10 @@ def path_loss_coeffs(scene: ChannelScene, t: int = 0) -> np.ndarray:
     return point_path_loss(scene.ref_pos, scene.sensors_at(t), label="sensor")
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cdist(a, b)
-
-
 def build_covariance(scene: ChannelScene, t: int, theta) -> np.ndarray:
     """Conditional shadowing covariance over the sensors at time ``t``."""
     pts = scene.sensors_at(t)
-    return kernel_eval(scene.kernel, _pairwise_distances(pts, pts), theta)
+    return kernel_eval(scene.kernel, cdist(pts, pts), theta)
 
 
 def build_obs_covariance(scene: ChannelScene, t: int, theta) -> np.ndarray:
@@ -335,6 +339,59 @@ def _stable_unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points[keep], inverse
 
 
+def _lattice_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Axis steps and integer ``(ix, iy)`` coordinates of distinct points filling a regular lattice.
+
+    ``None`` unless both axes hold at least 2 distinct values with steps
+    uniform to 1e-9 relative, and every ``nx x ny`` lattice site is present.
+    """
+    axes = [np.unique(points[:, k]) for k in range(2)]
+    if min(len(a) for a in axes) < 2 or len(points) != len(axes[0]) * len(axes[1]):
+        return None
+    steps = np.array([(a[-1] - a[0]) / (len(a) - 1) for a in axes])
+    if any(np.max(np.abs(np.diff(a) - h)) > 1e-9 * h for a, h in zip(axes, steps)):
+        return None
+    return steps, np.column_stack([np.searchsorted(a, points[:, k]) for k, a in enumerate(axes)])
+
+
+def _circulant_eigenvalues(kernel: KernelSpec, theta, steps, shape) -> np.ndarray | None:
+    """Eigenvalues of a nonnegative-definite circulant embedding of a lattice covariance.
+
+    Each axis of ``n`` sites is embedded in the next power of two >= 2(n - 1),
+    doubled at most three times until the smallest eigenvalue is at least
+    ``-1e-10`` times the largest; that roundoff is clipped to zero.  ``None``
+    when no size qualifies.
+    """
+    sizes = [1 << int(2 * n - 3).bit_length() for n in shape]
+    for _ in range(4):
+        lags = [np.minimum(np.arange(m), m - np.arange(m)) * h for m, h in zip(sizes, steps)]
+        lam = np.fft.fft2(kernel_eval(kernel, np.hypot(lags[0][:, None], lags[1][None, :]), theta)).real
+        if lam.min() >= -1e-10 * lam.max():
+            return np.clip(lam, 0.0, None)
+        sizes = [2 * m for m in sizes]
+    return None
+
+
+def _field_draws(kernel: KernelSpec, theta, points: np.ndarray, rng, size: int | None) -> np.ndarray:
+    """Zero-mean shadowing draws at distinct ``points``, shape ``(len(points),)`` or ``(size, len(points))``.
+
+    A complete regular lattice with an admissible embedding is drawn as
+    ``Re fft2(sqrt(lam / M) (e1 + i e2))`` at the lattice sites; every other
+    input factors the dense covariance.
+    """
+    lattice = _lattice_index(points)
+    if lattice is not None:
+        steps, index = lattice
+        lam = _circulant_eigenvalues(kernel, theta, steps, index.max(axis=0) + 1)
+        if lam is not None:
+            batch = () if size is None else (size,)
+            eps = rng.standard_normal((*batch, 2, *lam.shape))
+            z = np.fft.fft2(np.sqrt(lam / lam.size) * (eps[..., 0, :, :] + 1j * eps[..., 1, :, :])).real
+            return z[..., index[:, 0], index[:, 1]]
+    sigma = kernel_eval(kernel, cdist(points, points), theta)
+    return _shadow_draws(_chol_psd(sigma, theta[0]), rng, size)
+
+
 def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: int | None = None):
     """One coherent draw of sensor observations and the noiseless gain field.
 
@@ -344,6 +401,11 @@ def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: 
     gain ``alpha_q * mu + shadowing``.  Returns ``(observations, field)``;
     with integer ``size`` the observation part is the raw ``(size, N)``
     array and the field has shape ``(size, Q)``.
+
+    When the distinct positions fill a complete regular lattice (at least
+    2 x 2 sites, uniform steps per axis), the field is drawn exactly by FFT
+    circulant embedding; otherwise, or when the kernel has no nonnegative
+    embedding within the size bound, by a dense Cholesky factorization.
     """
     rng = as_rng(rng)
     q = np.asarray(query_points, dtype=float).reshape(-1, 2)
@@ -352,11 +414,8 @@ def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: 
     alpha = path_loss_coeffs(scene, t)
     alpha_q = point_path_loss(scene.ref_pos, q, label="query point") if len(q) else np.empty(0)
 
-    stacked = np.vstack([scene.sensors_at(t), q])
-    uniq, inverse = _stable_unique_rows(stacked)
-    sigma = kernel_eval(scene.kernel, _pairwise_distances(uniq, uniq), theta)
-    factor = _chol_psd(sigma, theta[0])
-    shadow = _shadow_draws(factor, rng, size)[..., inverse]
+    uniq, inverse = _stable_unique_rows(np.vstack([scene.sensors_at(t), q]))
+    shadow = _field_draws(scene.kernel, theta, uniq, rng, size)[..., inverse]
 
     n = scene.n_sensors
     noise_scale = np.sqrt(scene.sigma_xi_sq)

@@ -286,11 +286,20 @@ class ScenarioConfig:
             if not 0 <= d.initial_index < len(pts):
                 raise ConfigError("dynamics.initial_index out of range")
         sc = self.scene
+        if len(sc.ref_pos) != 2:
+            raise ConfigError(f"scene.ref_pos must have 2 entries, got {len(sc.ref_pos)}")
         if not 0 <= sc.mu_index < grid.ndim:
             raise ConfigError("scene.mu_index must index a grid dimension")
+        if len(sc.kernel.params) != 2:
+            raise ConfigError("scene.kernel.params must have 2 entries (shadowing power, correlation distance)")
         for i, (tag, value) in enumerate(sc.kernel.params):
             if tag == "state" and not 0 <= int(value) < grid.ndim:
                 raise ConfigError(f"scene.kernel.params[{i}] binds a state coordinate outside the grid")
+        (power_tag, power), (dist_tag, dist) = sc.kernel.params
+        if power_tag == "const" and not 0.0 <= power < np.inf:
+            raise ConfigError("scene.kernel.params[0] (shadowing power) must be finite and >= 0")
+        if dist_tag == "const" and not 0.0 < dist < np.inf:
+            raise ConfigError("scene.kernel.params[1] (correlation distance) must be finite and > 0")
         if not 0.0 <= sc.sigma_xi_sq < np.inf:
             raise ConfigError("scene.sigma_xi_sq must be finite and >= 0")
         if sc.sensors.kind == "lattice":
@@ -304,6 +313,8 @@ class ScenarioConfig:
             raise ConfigError("horizon must be >= 0")
         if self.query_grid.nx < 1 or self.query_grid.ny < 1:
             raise ConfigError("query_grid.nx and query_grid.ny must be >= 1")
+        if len(self.query_grid.region) != 2 or any(len(r) != 2 for r in self.query_grid.region):
+            raise ConfigError("query_grid.region must be two [lower, upper] pairs")
         for axis, (lo, hi) in enumerate(self.query_grid.region):
             if not lo < hi:
                 raise ConfigError(f"query_grid.region[{axis}] must satisfy lower < upper")

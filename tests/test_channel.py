@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chantrack
+from chantrack import channel
 from chantrack.channel import (
     ChannelScene,
     KernelSpec,
@@ -21,6 +27,7 @@ from chantrack.channel import (
     sample_joint_field,
     sample_observation,
 )
+from chantrack.harness import benchmark_config, build_scene, query_points
 
 KERNEL = KernelSpec()
 
@@ -33,6 +40,13 @@ def make_scene(sensors, sigma_xi_sq=2.0, theta=(25.0, 10.0), ref=(25.0, 10.0), m
         kernel=KERNEL,
         state_map=StateToChannelMap(mu_index=mu_index, theta_bindings=(float(theta[0]), float(theta[1]))),
     )
+
+
+def lattice(n, spacing, origin=0.0):
+    """``n x n`` cell-centre lattice, x varying fastest (the layout of ``query_points``)."""
+    xs = origin + (np.arange(n) + 0.5) * spacing
+    gx, gy = np.meshgrid(xs, xs, indexing="xy")
+    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def test_path_loss_examples():
@@ -200,6 +214,13 @@ def test_joint_field_query_at_sensor_shares_draw():
     obs, field = sample_joint_field(scene, 0, np.array([2.0]), sensors[[2]], np.random.default_rng(1))
     assert field[0] == obs.y[2]
 
+    # lattice sensors among lattice queries: the FFT draw is shared the same way
+    queries = lattice(10, 4.0)
+    picks = [3, 17, 42, 88]
+    scene = make_scene(queries[picks], sigma_xi_sq=0.0)
+    obs, field = sample_joint_field(scene, 0, np.array([2.0]), queries, np.random.default_rng(1))
+    assert np.array_equal(field[picks], obs.y)
+
 
 def test_joint_field_jitter_on_duplicate_sensors():
     scene = make_scene([[26.0, 10.0], [26.0, 10.0]])
@@ -209,32 +230,120 @@ def test_joint_field_jitter_on_duplicate_sensors():
 
 
 def test_joint_field_covariance_via_variogram():
-    # empirical spatial covariance of the drawn field vs the kernel value
-    rng = np.random.default_rng(6)
-    sensors = rng.uniform(0, 40, (30, 2))
-    scene = make_scene(sensors, sigma_xi_sq=2.0)
-    w = 40.0 / 60.0
-    xs = (np.arange(60) + 0.5) * w
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    queries = np.column_stack([gx.ravel(), gy.ravel()])
-    x = np.array([2.0])
-    _, fields = sample_joint_field(scene, 0, x, queries, rng, size=100)
-    alpha_q = point_path_loss(scene.ref_pos, queries)
-    resid = fields - alpha_q * 2.0
+    # empirical spatial covariance of the drawn field vs the kernel value;
+    # off-lattice sensors take the dense path, lattice sensors the FFT path
+    queries = lattice(60, 40.0 / 60.0)
+    for sensors in ("off_lattice", "lattice"):
+        rng = np.random.default_rng(6)
+        if sensors == "lattice":
+            positions = queries[rng.choice(len(queries), size=30, replace=False)]
+        else:
+            positions = rng.uniform(0, 40, (30, 2))
+        scene = make_scene(positions, sigma_xi_sq=2.0)
+        x = np.array([2.0])
+        _, fields = sample_joint_field(scene, 0, x, queries, rng, size=100)
+        alpha_q = point_path_loss(scene.ref_pos, queries)
+        resid = fields - alpha_q * 2.0
 
-    sub = rng.choice(len(queries), size=700, replace=False)
-    pts = queries[sub]
-    rsub = resid[:, sub]
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    iu = np.triu_indices(len(sub), k=1)
-    pair_d = d[iu]
-    prods = np.einsum("ki,kj->ij", rsub, rsub)[iu] / rsub.shape[0]
-    for dist in (5.0, 10.0, 20.0):
-        mask = np.abs(pair_d - dist) < 0.4
-        assert mask.sum() > 100
-        emp = prods[mask].mean()
-        true = 25.0 * math.exp(-dist / 10.0)
-        assert abs(emp - true) <= 0.15 * true
+        sub = rng.choice(len(queries), size=700, replace=False)
+        pts = queries[sub]
+        rsub = resid[:, sub]
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        iu = np.triu_indices(len(sub), k=1)
+        pair_d = d[iu]
+        prods = np.einsum("ki,kj->ij", rsub, rsub)[iu] / rsub.shape[0]
+        for dist in (5.0, 10.0, 20.0):
+            mask = np.abs(pair_d - dist) < 0.4
+            assert mask.sum() > 100
+            emp = prods[mask].mean()
+            true = 25.0 * math.exp(-dist / 10.0)
+            assert abs(emp - true) <= 0.15 * true, sensors
+
+
+@pytest.mark.parametrize("theta2, embedding", [(10.0, 128), (40.0, 1024)])
+def test_circulant_embedding_is_exact_on_lattice(theta2, embedding):
+    # the embedding's covariance, read back on the lattice, is the kernel itself
+    queries = lattice(60, 40.0 / 60.0)
+    steps, index = channel._lattice_index(queries)
+    theta = np.array([25.0, theta2])
+    lam = channel._circulant_eigenvalues(KERNEL, theta, steps, index.max(axis=0) + 1)
+    assert lam.shape == (embedding, embedding)
+    cov = np.fft.ifft2(lam).real[index[:, 0], index[:, 1]]
+    corner = queries[np.all(index == 0, axis=1)][0]
+    expected = kernel_eval(KERNEL, np.linalg.norm(queries - corner, axis=1), theta)
+    assert np.max(np.abs(cov - expected)) <= 1e-12 * theta[0]
+
+
+def test_lattice_detection():
+    pts = lattice(6, 2.0)
+    steps, index = channel._lattice_index(pts)
+    assert np.allclose(steps, 2.0) and np.array_equal(index.max(axis=0), [5, 5])
+    assert np.array_equal(pts, 1.0 + 2.0 * index)
+    assert channel._lattice_index(pts[1:]) is None  # one site missing
+    assert channel._lattice_index(pts[:6]) is None  # a single row
+    uneven = pts.copy()
+    uneven[:, 0] = np.where(uneven[:, 0] > 10.0, 11.5, uneven[:, 0])
+    assert channel._lattice_index(uneven) is None
+
+
+def test_joint_field_path_selection(monkeypatch):
+    calls = []
+    dense = channel._chol_psd
+
+    def counting(sigma, theta1):
+        calls.append(len(sigma))
+        return dense(sigma, theta1)
+
+    monkeypatch.setattr(channel, "_chol_psd", counting)
+    cfg = benchmark_config()
+    scene = build_scene(cfg, np.random.default_rng(0))
+    sample_joint_field(scene, 0, np.array([2.0, 25.3]), query_points(cfg), np.random.default_rng(1))
+    assert calls == []
+
+    queries = lattice(10, 2.0)
+    x = np.array([2.0])
+    off = make_scene(np.vstack([queries[:3], [[3.3, 4.1]]]))
+    sample_joint_field(off, 0, x, queries, np.random.default_rng(2))
+    assert calls == [101]
+    sample_joint_field(make_scene(queries[:4]), 0, x, queries, np.random.default_rng(3))
+    assert calls == [101]
+    # no embedding up to 256^2 is nonnegative for a 100 m correlation distance on this lattice
+    long_range = make_scene(queries[:4], theta=(25.0, 100.0))
+    sample_joint_field(long_range, 0, x, queries, np.random.default_rng(3))
+    assert calls == [101, 100]
+
+
+_THREADED_DRAW = """
+import hashlib
+import numpy as np
+from chantrack.channel import sample_joint_field
+from chantrack.harness import benchmark_config, build_scene, query_points
+cfg = benchmark_config()
+scene = build_scene(cfg, np.random.default_rng(60_002))
+obs, field = sample_joint_field(scene, 249, np.array([2.0, 25.3]), query_points(cfg), np.random.default_rng(7))
+print(hashlib.sha256(obs.y.tobytes() + field.tobytes()).hexdigest())
+"""
+
+
+def test_joint_field_draw_independent_of_blas_threads():
+    """The benchmark scene's truth draw is byte-identical under 1 and 2 BLAS threads.
+
+    This covers the lattice (FFT) draw only.  Byte identity of the full
+    artifacts under different thread counts still fails until the filter's
+    threaded triangular solves are removed (ROADMAP open item 1), and scenes
+    whose sensors are off the query lattice keep the dense Cholesky draw,
+    which still depends on the BLAS thread count.
+    """
+    src = str(Path(chantrack.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADED_DRAW], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_covariance_lipschitz_in_state():

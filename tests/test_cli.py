@@ -78,6 +78,26 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, field, value, named",
+    [
+        ("scene", "ref_pos", [1.0], "scene.ref_pos"),
+        ("query_grid", "region", [[0.0, 40.0]], "query_grid.region"),
+        ("query_grid", "region", [[0.0, 40.0, 50.0], [0.0, 40.0]], "query_grid.region"),
+        ("scene", "kernel", {"params": [{"const": -1.0}, {"const": 10.0}]}, "scene.kernel.params[0]"),
+        ("scene", "kernel", {"params": [{"state": 1}, {"const": 0.0}]}, "scene.kernel.params[1]"),
+        ("scene", "kernel", {"params": [{"state": 1}]}, "scene.kernel.params"),
+    ],
+)
+def test_setup_failures_are_config_errors(config_path, tmp_path, capsys, section, field, value, named):
+    # each of these used to pass validation and then fail in phase 'setup' (exit 3)
+    cfg = json.loads(config_path.read_text())
+    cfg[section][field] = value
+    config_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_missing_out_dir_is_config_error(config_path, capsys):
     assert main(["experiment", "--config", str(config_path)]) == 2
     assert "out_dir" in capsys.readouterr().err
