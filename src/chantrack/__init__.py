@@ -8,52 +8,4 @@ filter over observations and predicts the channel gain at arbitrary spatial
 points, sequentially and at any prediction horizon.
 """
 
-from .channel import (
-    ChannelScene,
-    KernelSpec,
-    NumericsWarning,
-    ObservationBatch,
-    StateCoord,
-    StateToChannelMap,
-    build_covariance,
-    build_obs_covariance,
-    cross_covariance,
-    gaussian_unnormalized_loglik,
-    kernel_eval,
-    path_loss_coeffs,
-    point_path_loss,
-    sample_joint_field,
-    sample_observation,
-)
-from .filtering import DegenerateLikelihoodError, GridFilter, TrackRecord, brute_force_posterior
-from .grid import GridSpec, cell_center, cell_index, clamp_to_grid, reconstruction_matrix
-from .harness import (
-    ConfigError,
-    PhaseFailure,
-    RunMetrics,
-    ScenarioConfig,
-    benchmark_config,
-    config_from_dict,
-    config_from_json,
-    l_sweep,
-    load_transition,
-    prior_baseline,
-    run_experiment,
-    save_transition,
-)
-from .kriging import QuerySpec, gain_profile, kriging_mean, predict_gain, predict_gain_map
-from .markov import (
-    StateDynamics,
-    TransitionMatrix,
-    coupled_tanh_dynamics,
-    estimate_transition_marginal,
-    estimate_transition_markovian,
-    finite_chain_dynamics,
-    initial_belief,
-    one_hot_belief,
-    simulate_trajectory,
-    transition_power,
-    uniform_belief,
-)
-
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Every sensor measures the channel magnitude relative to a fixed reference
 antenna, in dB.  Conditionally on the hidden state, a measurement is the
 sum of a path-loss term ``alpha_i * mu`` with ``alpha_i = -10 log10(d_i)``,
-a zero-mean jointly Gaussian shadowing field with an isotropic exponential
-spatial kernel, and white multipath noise.  All gains are in dB and all
-distances in meters; no unit conversion happens inside these functions.
+a zero-mean jointly Gaussian shadowing field with the one spatial kernel of
+the model, the isotropic exponential ``theta1 * exp(-d / theta2)``, and
+white multipath noise.  All gains are in dB and all distances in meters;
+no unit conversion happens inside these functions.
 
 The joint shadowing field is drawn one of two ways, chosen from the input
 points alone.  When the distinct sensor and query positions fill a complete
@@ -31,7 +32,6 @@ from .util import as_rng
 __all__ = [
     "D_MIN",
     "NumericsWarning",
-    "KernelSpec",
     "StateCoord",
     "StateToChannelMap",
     "ChannelScene",
@@ -56,29 +56,11 @@ class NumericsWarning(UserWarning):
     """Raised when a covariance factorization needed diagonal jitter."""
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Isotropic spatial autocorrelation kernel of the shadowing field.
+def kernel_eval(d, theta) -> np.ndarray:
+    """Shadowing kernel ``theta1 * exp(-d / theta2)`` at distance ``d`` (broadcasts over ``d`` and ``theta``).
 
-    Only the exponential form ships: ``k(d) = theta1 * exp(-d / theta2)``
-    with ``theta1`` the shadowing power (dB^2) and ``theta2`` the
-    correlation distance (m).
-    """
-
-    form: str = "exponential-isotropic"
-    n_params: int = 2
-
-    def __post_init__(self):
-        if self.form != "exponential-isotropic":
-            raise ValueError(f"unsupported kernel form {self.form!r}")
-        if self.n_params != 2:
-            raise ValueError("exponential-isotropic kernel takes exactly 2 parameters")
-
-
-def kernel_eval(kernel: KernelSpec, d, theta) -> np.ndarray:
-    """Kernel value at distance ``d`` (broadcasts over ``d`` and ``theta``).
-
-    ``theta`` carries the parameter vector on its last axis.
+    ``theta`` carries ``(theta1, theta2)`` on its last axis: the shadowing
+    power (dB^2) and the correlation distance (m).
     """
     d = np.asarray(d, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -110,8 +92,8 @@ class StateToChannelMap:
     """How the hidden state feeds the observation layer.
 
     ``mu_index`` names the state coordinate holding the path-loss exponent;
-    each kernel parameter is either bound to a state coordinate or fixed to
-    a constant.
+    each of the two kernel parameters is either bound to a state coordinate
+    or fixed to a constant.
     """
 
     mu_index: int
@@ -162,7 +144,6 @@ class ChannelScene:
     ref_pos: np.ndarray
     sensors: np.ndarray
     sigma_xi_sq: float
-    kernel: KernelSpec
     state_map: StateToChannelMap
 
     def __post_init__(self):
@@ -174,8 +155,8 @@ class ChannelScene:
             raise ValueError("positions must be finite")
         if not 0.0 <= self.sigma_xi_sq < np.inf:
             raise ValueError("sigma_xi_sq must be finite and >= 0")
-        if len(self.state_map.theta_bindings) != self.kernel.n_params:
-            raise ValueError("state map must bind exactly the kernel's parameters")
+        if len(self.state_map.theta_bindings) != 2:
+            raise ValueError("state map must bind exactly the kernel's 2 parameters")
         d = np.linalg.norm(sens - ref, axis=-1)
         if np.any(d < D_MIN):
             i = int(np.argwhere(d.reshape(-1, d.shape[-1]) < D_MIN)[0][-1])
@@ -241,7 +222,7 @@ def path_loss_coeffs(scene: ChannelScene, t: int = 0) -> np.ndarray:
 def build_covariance(scene: ChannelScene, t: int, theta) -> np.ndarray:
     """Conditional shadowing covariance over the sensors at time ``t``."""
     pts = scene.sensors_at(t)
-    return kernel_eval(scene.kernel, cdist(pts, pts), theta)
+    return kernel_eval(cdist(pts, pts), theta)
 
 
 def build_obs_covariance(scene: ChannelScene, t: int, theta) -> np.ndarray:
@@ -254,7 +235,7 @@ def cross_covariance(scene: ChannelScene, t: int, q, theta) -> np.ndarray:
     """Shadowing covariance between an arbitrary point ``q`` and each sensor."""
     q = np.asarray(q, dtype=float).reshape(2)
     d = np.linalg.norm(scene.sensors_at(t) - q, axis=-1)
-    return kernel_eval(scene.kernel, d, theta)
+    return kernel_eval(d, theta)
 
 
 def gaussian_unnormalized_loglik(y, mean, cov) -> float:
@@ -354,7 +335,7 @@ def _lattice_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return steps, np.column_stack([np.searchsorted(a, points[:, k]) for k, a in enumerate(axes)])
 
 
-def _circulant_eigenvalues(kernel: KernelSpec, theta, steps, shape) -> np.ndarray | None:
+def _circulant_eigenvalues(theta, steps, shape) -> np.ndarray | None:
     """Eigenvalues of a nonnegative-definite circulant embedding of a lattice covariance.
 
     Each axis of ``n`` sites is embedded in the next power of two >= 2(n - 1),
@@ -365,14 +346,14 @@ def _circulant_eigenvalues(kernel: KernelSpec, theta, steps, shape) -> np.ndarra
     sizes = [1 << int(2 * n - 3).bit_length() for n in shape]
     for _ in range(4):
         lags = [np.minimum(np.arange(m), m - np.arange(m)) * h for m, h in zip(sizes, steps)]
-        lam = np.fft.fft2(kernel_eval(kernel, np.hypot(lags[0][:, None], lags[1][None, :]), theta)).real
+        lam = np.fft.fft2(kernel_eval(np.hypot(lags[0][:, None], lags[1][None, :]), theta)).real
         if lam.min() >= -1e-10 * lam.max():
             return np.clip(lam, 0.0, None)
         sizes = [2 * m for m in sizes]
     return None
 
 
-def _field_draws(kernel: KernelSpec, theta, points: np.ndarray, rng, size: int | None) -> np.ndarray:
+def _field_draws(theta, points: np.ndarray, rng, size: int | None) -> np.ndarray:
     """Zero-mean shadowing draws at distinct ``points``, shape ``(len(points),)`` or ``(size, len(points))``.
 
     A complete regular lattice with an admissible embedding is drawn as
@@ -382,13 +363,13 @@ def _field_draws(kernel: KernelSpec, theta, points: np.ndarray, rng, size: int |
     lattice = _lattice_index(points)
     if lattice is not None:
         steps, index = lattice
-        lam = _circulant_eigenvalues(kernel, theta, steps, index.max(axis=0) + 1)
+        lam = _circulant_eigenvalues(theta, steps, index.max(axis=0) + 1)
         if lam is not None:
             batch = () if size is None else (size,)
             eps = rng.standard_normal((*batch, 2, *lam.shape))
             z = np.fft.fft2(np.sqrt(lam / lam.size) * (eps[..., 0, :, :] + 1j * eps[..., 1, :, :])).real
             return z[..., index[:, 0], index[:, 1]]
-    sigma = kernel_eval(kernel, cdist(points, points), theta)
+    sigma = kernel_eval(cdist(points, points), theta)
     return _shadow_draws(_chol_psd(sigma, theta[0]), rng, size)
 
 
@@ -415,7 +396,7 @@ def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: 
     alpha_q = point_path_loss(scene.ref_pos, q, label="query point") if len(q) else np.empty(0)
 
     uniq, inverse = _stable_unique_rows(np.vstack([scene.sensors_at(t), q]))
-    shadow = _field_draws(scene.kernel, theta, uniq, rng, size)[..., inverse]
+    shadow = _field_draws(theta, uniq, rng, size)[..., inverse]
 
     n = scene.n_sensors
     noise_scale = np.sqrt(scene.sigma_xi_sq)

@@ -1,10 +1,11 @@
 """Grid-based recursive filtering of the hidden channel state.
 
-The filter maintains a normalized belief over grid cells.  Each update
-multiplies the belief by the transition matrix, weights it by the per-cell
-Gaussian observation likelihood and renormalizes; the state estimate is the
-belief-weighted combination of cell centers pushed ``rho`` steps through
-the chain.  Per-update work does not grow with time.
+The filter maintains a normalized belief ``b`` over grid cells.  Each
+update multiplies the belief by the transition matrix ``P``, weights it by
+the per-cell Gaussian observation likelihood and renormalizes.  The state
+estimate ``rho`` steps ahead is ``X P^rho b``, with ``X`` the matrix of cell
+centers; the ``(d, C)`` matrix ``X P^rho`` is built once per session from
+``rho`` row products.  Per-update work does not grow with time.
 
 Cells whose kernel parameters coincide share a single observation-covariance
 factorization; the factors are built once when the sensors are static.
@@ -25,7 +26,7 @@ from .channel import (
     build_obs_covariance,
 )
 from .grid import GridSpec, reconstruction_matrix
-from .markov import TransitionMatrix, transition_power, uniform_belief
+from .markov import TransitionMatrix, propagate_profile, uniform_belief
 from .util import single_thread_blas
 
 __all__ = ["GridFilter", "TrackRecord", "DegenerateLikelihoodError", "brute_force_posterior"]
@@ -89,7 +90,7 @@ class GridFilter:
         self.rho = int(rho)
         self.X = reconstruction_matrix(grid)
         self.P = transition.matrix
-        self.P_rho = transition_power(transition, rho)
+        self.X_rho = propagate_profile(self.X, self.P, rho)
         self.belief = belief
         self.initial_belief = belief.copy()
         self.t = -1
@@ -161,22 +162,10 @@ class GridFilter:
         self.t = obs.t
         return belief.copy()
 
-    def _propagated_belief(self) -> np.ndarray:
-        # rho = 0 keeps P_rho = identity; its matvec is skipped (bitwise no-op).
-        return self.P_rho @ self.belief if self.rho else self.belief
-
     def estimate(self, rho: int | None = None) -> np.ndarray:
-        """State estimate ``rho`` (default: the session's horizon) steps past the last observation."""
-        if rho is None or rho == self.rho:
-            return self.X @ self._propagated_belief()
-        return self.X @ (transition_power(self.transition, rho) @ self.belief)
-
-    def functional_estimate(self, profile: np.ndarray) -> np.ndarray:
-        """Estimate of any per-cell profile: column ``l`` holds the functional at center ``l``."""
-        profile = np.asarray(profile, dtype=float)
-        if profile.shape[-1] != self.n_cells:
-            raise ValueError("profile must have one column per cell")
-        return profile @ self._propagated_belief()
+        """State estimate ``X P^rho b``, ``rho`` (default: the session's horizon) steps past the last observation."""
+        X_rho = self.X_rho if rho is None or rho == self.rho else propagate_profile(self.X, self.P, rho)
+        return X_rho @ self.belief
 
     def run_tracking(self, observations: Sequence[ObservationBatch], on_record=None) -> list[TrackRecord]:
         """Process time-ordered observations; one record per observation.

@@ -17,7 +17,6 @@ __all__ = [
     "cell_index",
     "cell_center",
     "reconstruction_matrix",
-    "clamp_to_grid",
 ]
 
 
@@ -111,9 +110,3 @@ def reconstruction_matrix(grid: GridSpec) -> np.ndarray:
     per_axis = (lin[None, :] // grid.strides[:, None]) % np.asarray(grid.cells)[:, None]
     lo = np.asarray(grid.lower)[:, None]
     return lo + (per_axis + 0.5) * grid.widths[:, None]
-
-
-def clamp_to_grid(grid: GridSpec, x) -> np.ndarray:
-    """Project ``x`` componentwise onto the grid box."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(x, np.asarray(grid.lower), np.asarray(grid.upper))

@@ -29,11 +29,12 @@ import numpy as np
 
 from .channel import (
     ChannelScene,
-    KernelSpec,
     ObservationBatch,
     StateCoord,
     StateToChannelMap,
+    kernel_eval,
     observation_conditioning,
+    point_path_loss,
     sample_joint_field,
     sample_observation,
 )
@@ -49,8 +50,8 @@ from .markov import (
     estimate_transition_markovian,
     finite_chain_dynamics,
     initial_belief,
+    propagate_profile,
     simulate_trajectory,
-    transition_power,
 )
 
 __all__ = [
@@ -268,6 +269,9 @@ class ScenarioConfig:
             raise ConfigError(f"grid: {e}") from e
         if self.quantization not in ("markovian", "marginal"):
             raise ConfigError(f"quantization must be 'markovian' or 'marginal', got {self.quantization!r}")
+        for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
+            if getattr(self.transition, name) < least:
+                raise ConfigError(f"transition.{name} must be >= {least}")
         d = self.dynamics
         if d.kind == "coupled_tanh":
             if grid.ndim != 2:
@@ -290,6 +294,8 @@ class ScenarioConfig:
             raise ConfigError(f"scene.ref_pos must have 2 entries, got {len(sc.ref_pos)}")
         if not 0 <= sc.mu_index < grid.ndim:
             raise ConfigError("scene.mu_index must index a grid dimension")
+        if sc.kernel.form != "exponential-isotropic":
+            raise ConfigError(f"scene.kernel.form must be 'exponential-isotropic', got {sc.kernel.form!r}")
         if len(sc.kernel.params) != 2:
             raise ConfigError("scene.kernel.params must have 2 entries (shadowing power, correlation distance)")
         for i, (tag, value) in enumerate(sc.kernel.params):
@@ -300,8 +306,21 @@ class ScenarioConfig:
             raise ConfigError("scene.kernel.params[0] (shadowing power) must be finite and >= 0")
         if dist_tag == "const" and not 0.0 < dist < np.inf:
             raise ConfigError("scene.kernel.params[1] (correlation distance) must be finite and > 0")
+        try:
+            state_map = _state_map(self)
+        except ValueError as e:
+            raise ConfigError(f"scene.mu_index and scene.kernel.params: {e}") from e
+        try:
+            kernel_eval(0.0, state_map.theta_of(reconstruction_matrix(grid).T))
+        except ValueError as e:
+            raise ConfigError(f"scene.kernel.params at a grid cell center: {e}") from e
         if not 0.0 <= sc.sigma_xi_sq < np.inf:
             raise ConfigError("scene.sigma_xi_sq must be finite and >= 0")
+        if sc.sensors.kind == "fixed":
+            try:
+                build_scene(self, rng=None)
+            except ValueError as e:
+                raise ConfigError(f"scene.sensors.positions: {e}") from e
         if sc.sensors.kind == "lattice":
             if sc.sensors.n < 1:
                 raise ConfigError("scene.sensors.n must be >= 1")
@@ -318,6 +337,11 @@ class ScenarioConfig:
         for axis, (lo, hi) in enumerate(self.query_grid.region):
             if not lo < hi:
                 raise ConfigError(f"query_grid.region[{axis}] must satisfy lower < upper")
+        if sc.sensors.kind == "lattice" or self.map_snapshots:
+            try:
+                point_path_loss(sc.ref_pos, query_points(self), label="query point")
+            except ValueError as e:
+                raise ConfigError(f"query_grid: {e}") from e
         for k in self.map_snapshots:
             if not 0 <= k < self.timesteps:
                 raise ConfigError(f"map_snapshots entry {k} outside [0, timesteps)")
@@ -436,7 +460,10 @@ def _state_map(cfg: ScenarioConfig) -> StateToChannelMap:
 
 
 def build_scene(cfg: ScenarioConfig, rng) -> ChannelScene:
-    """Realize the scene; lattice sensors are sampled without replacement from the query lattice."""
+    """Realize the scene; lattice sensors are sampled without replacement from the query lattice.
+
+    ``rng`` is used only for lattice sensors; fixed ones are taken as given.
+    """
     sc = cfg.scene
     if sc.sensors.kind == "fixed":
         positions = np.asarray(sc.sensors.positions, dtype=float)
@@ -448,7 +475,6 @@ def build_scene(cfg: ScenarioConfig, rng) -> ChannelScene:
         ref_pos=np.asarray(sc.ref_pos, dtype=float),
         sensors=positions,
         sigma_xi_sq=sc.sigma_xi_sq,
-        kernel=KernelSpec(form=sc.kernel.form),
         state_map=_state_map(cfg),
     )
 
@@ -644,16 +670,15 @@ def prior_baseline(cfg: ScenarioConfig, transition: TransitionMatrix | None = No
     dyn = build_dynamics(cfg)
     if transition is None:
         transition = estimate_transition(cfg, dyn, grid, np.random.default_rng(transition_ss))
-    X = reconstruction_matrix(grid)
-    p_rho = transition_power(transition, cfg.horizon)
+    X_rho = propagate_profile(reconstruction_matrix(grid), transition.matrix, cfg.horizon)
     belief = initial_belief(dyn, grid, rng=np.random.default_rng(initial_ss))
     if cfg.timesteps == 0:
-        return (X @ (p_rho @ belief))[None, :]
+        return (X_rho @ belief)[None, :]
     out = np.empty((cfg.timesteps, grid.ndim))
     with single_thread_blas():
         for t in range(cfg.timesteps):
             belief = transition.matrix @ belief
-            out[t] = X @ (p_rho @ belief) if cfg.horizon else X @ belief
+            out[t] = X_rho @ belief
     return out
 
 
@@ -742,7 +767,6 @@ def random_small_scenario(rng, n_cells: int, n_sensors: int, n_obs: int):
         ref_pos=np.array([25.0, 10.0]),
         sensors=rng.uniform(0.0, 40.0, size=(n_sensors, 2)),
         sigma_xi_sq=float(rng.uniform(0.5, 3.0)),
-        kernel=KernelSpec(),
         state_map=state_map,
     )
     cols = rng.random((n_cells, n_cells)) + 0.1

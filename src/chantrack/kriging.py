@@ -101,7 +101,7 @@ def gain_profile(session: GridFilter, obs: ObservationBatch, query) -> np.ndarra
     query = np.asarray(query, dtype=float)
     alpha_q = float(point_path_loss(scene.ref_pos, query[None, :], label="query point")[0])
     d = np.linalg.norm(scene.sensors_at(obs.t) - query, axis=-1)
-    cross = kernel_eval(scene.kernel, d[None, :], session.group_thetas[:, None, :])
+    cross = kernel_eval(d[None, :], session.group_thetas[:, None, :])
     v_y, v_alpha = _cell_solves(session, obs)
     s_y = np.einsum("un,un->u", cross, v_y)[session.group_index]
     s_alpha = np.einsum("un,un->u", cross, v_alpha)[session.group_index]
@@ -142,5 +142,5 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     d = cdist(queries.points, scene.sensors_at(obs.t))
     pred = alpha_q * (session.mus @ belief)
     for theta, c in zip(session.group_thetas, coeffs):
-        pred += np.einsum("qn,n->q", kernel_eval(scene.kernel, d, theta), c)
+        pred += np.einsum("qn,n->q", kernel_eval(d, theta), c)
     return pred

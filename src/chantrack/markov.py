@@ -36,7 +36,7 @@ __all__ = [
     "initial_belief",
     "one_hot_belief",
     "uniform_belief",
-    "transition_power",
+    "propagate_profile",
     "simulate_trajectory",
 ]
 
@@ -256,12 +256,18 @@ def initial_belief(dyn: StateDynamics, grid: GridSpec, n_samples: int = 10_000, 
     return counts / n_samples
 
 
-def transition_power(transition: TransitionMatrix | np.ndarray, rho: int) -> np.ndarray:
-    """``rho``-step transition matrix; the identity for ``rho = 0``."""
+def propagate_profile(profile, matrix: np.ndarray, rho: int) -> np.ndarray:
+    """``profile @ P^rho``: per-cell values (one column per cell) pushed ``rho`` steps through the chain ``P``.
+
+    Computed as ``rho`` row products, never forming ``P^rho``; ``rho = 0``
+    returns the profile itself.
+    """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    m = transition.matrix if isinstance(transition, TransitionMatrix) else np.asarray(transition)
-    return np.linalg.matrix_power(m, rho)
+    out = np.asarray(profile, dtype=float)
+    for _ in range(rho):
+        out = out @ matrix
+    return out
 
 
 def simulate_trajectory(dyn: StateDynamics, T: int, rng=None) -> np.ndarray:

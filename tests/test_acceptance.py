@@ -11,7 +11,6 @@ import pytest
 
 from chantrack.channel import (
     ChannelScene,
-    KernelSpec,
     StateToChannelMap,
     build_obs_covariance,
     cross_covariance,
@@ -29,6 +28,7 @@ from chantrack.harness import (
     build_scene,
     estimate_transition,
     l_sweep,
+    prior_baseline,
     query_points,
     random_small_scenario,
     run_experiment,
@@ -41,7 +41,6 @@ from chantrack.markov import (
     finite_chain_dynamics,
     initial_belief,
     simulate_trajectory,
-    transition_power,
 )
 from chantrack.util import single_thread_blas
 
@@ -63,7 +62,6 @@ def random_scene(rng, n_sensors, sigma_xi_sq=None):
         ref_pos=np.array([25.0, 10.0]),
         sensors=sensors,
         sigma_xi_sq=float(rng.uniform(0.5, 3.0)) if sigma_xi_sq is None else sigma_xi_sq,
-        kernel=KernelSpec(),
         state_map=StateToChannelMap(
             mu_index=0,
             theta_bindings=(float(rng.uniform(5.0, 30.0)), float(rng.uniform(4.0, 15.0))),
@@ -203,13 +201,7 @@ def test_criterion_6_benchmark_reproduction(tmp_path):
     prior = initial_belief(dyn, grid)
 
     # the prior-only estimate stream is observation- and seed-independent
-    X = reconstruction_matrix(grid)
-    baseline = np.empty((study.timesteps, grid.ndim))
-    with single_thread_blas():
-        belief = prior.copy()
-        for t in range(study.timesteps):
-            belief = transition.matrix @ belief
-            baseline[t] = X @ belief
+    baseline = prior_baseline(study, transition)
 
     filter_rmse, baseline_rmse, map_rmse = [], [], []
     spec = QuerySpec(queries, rho=0)

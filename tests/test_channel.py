@@ -11,7 +11,6 @@ import chantrack
 from chantrack import channel
 from chantrack.channel import (
     ChannelScene,
-    KernelSpec,
     NumericsWarning,
     ObservationBatch,
     StateCoord,
@@ -29,15 +28,12 @@ from chantrack.channel import (
 )
 from chantrack.harness import benchmark_config, build_scene, query_points
 
-KERNEL = KernelSpec()
-
 
 def make_scene(sensors, sigma_xi_sq=2.0, theta=(25.0, 10.0), ref=(25.0, 10.0), mu_index=0):
     return ChannelScene(
         ref_pos=np.asarray(ref, float),
         sensors=np.asarray(sensors, float),
         sigma_xi_sq=sigma_xi_sq,
-        kernel=KERNEL,
         state_map=StateToChannelMap(mu_index=mu_index, theta_bindings=(float(theta[0]), float(theta[1]))),
     )
 
@@ -70,19 +66,30 @@ def test_scene_rejects_invalid_noise_variance(sigma_xi_sq):
         make_scene([[26.0, 10.0]], sigma_xi_sq=sigma_xi_sq)
 
 
+@pytest.mark.parametrize("bindings", [(25.0,), (25.0, 10.0, 1.0)])
+def test_scene_requires_two_kernel_bindings(bindings):
+    with pytest.raises(ValueError, match="2 parameters"):
+        ChannelScene(
+            ref_pos=np.array([25.0, 10.0]),
+            sensors=np.array([[26.0, 10.0]]),
+            sigma_xi_sq=2.0,
+            state_map=StateToChannelMap(mu_index=0, theta_bindings=bindings),
+        )
+
+
 def test_kernel_examples():
-    assert kernel_eval(KERNEL, 0.0, [25.0, 10.0]) == 25.0
-    assert kernel_eval(KERNEL, 10.0, [25.0, 10.0]) == pytest.approx(25 * math.exp(-1), abs=1e-12)
-    assert kernel_eval(KERNEL, 123.0, [0.0, 10.0]) == 0.0
+    assert kernel_eval(0.0, [25.0, 10.0]) == 25.0
+    assert kernel_eval(10.0, [25.0, 10.0]) == pytest.approx(25 * math.exp(-1), abs=1e-12)
+    assert kernel_eval(123.0, [0.0, 10.0]) == 0.0
     with pytest.raises(ValueError):
-        kernel_eval(KERNEL, 1.0, [25.0, 0.0])
+        kernel_eval(1.0, [25.0, 0.0])
     with pytest.raises(ValueError):
-        kernel_eval(KERNEL, 1.0, [-1.0, 10.0])
+        kernel_eval(1.0, [-1.0, 10.0])
 
 
 def test_kernel_monotone_decay():
     d = np.linspace(0.0, 50.0, 200)
-    v = kernel_eval(KERNEL, d, [25.0, 10.0])
+    v = kernel_eval(d, [25.0, 10.0])
     assert np.all(np.diff(v) < 0) and np.all(v >= 0)
 
 
@@ -266,11 +273,11 @@ def test_circulant_embedding_is_exact_on_lattice(theta2, embedding):
     queries = lattice(60, 40.0 / 60.0)
     steps, index = channel._lattice_index(queries)
     theta = np.array([25.0, theta2])
-    lam = channel._circulant_eigenvalues(KERNEL, theta, steps, index.max(axis=0) + 1)
+    lam = channel._circulant_eigenvalues(theta, steps, index.max(axis=0) + 1)
     assert lam.shape == (embedding, embedding)
     cov = np.fft.ifft2(lam).real[index[:, 0], index[:, 1]]
     corner = queries[np.all(index == 0, axis=1)][0]
-    expected = kernel_eval(KERNEL, np.linalg.norm(queries - corner, axis=1), theta)
+    expected = kernel_eval(np.linalg.norm(queries - corner, axis=1), theta)
     assert np.max(np.abs(cov - expected)) <= 1e-12 * theta[0]
 
 
@@ -352,7 +359,6 @@ def test_covariance_lipschitz_in_state():
         ref_pos=np.array([25.0, 10.0]),
         sensors=np.random.default_rng(7).uniform(0, 40, (6, 2)),
         sigma_xi_sq=1.0,
-        kernel=KERNEL,
         state_map=StateToChannelMap(mu_index=0, theta_bindings=(StateCoord(1), StateCoord(2))),
     )
     lo = np.array([0.0, 20.0, 5.0])

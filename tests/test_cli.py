@@ -1,31 +1,39 @@
+import copy
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chantrack.cli import main
+from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict
+
+SMALL_CONFIG = {
+    "grid": {"lower": [0.0, 25.0], "upper": [4.0, 25.6], "cells": [5, 5]},
+    "dynamics": {"kind": "coupled_tanh"},
+    "quantization": "markovian",
+    "transition": {"samples_per_cell": 150},
+    "scene": {
+        "ref_pos": [25.0, 10.0],
+        "sensors": {"kind": "lattice", "n": 4},
+        "sigma_xi_sq": 2.0,
+        "kernel": {"params": [{"state": 1}, {"const": 10.0}]},
+    },
+    "timesteps": 6,
+    "horizon": 0,
+    "query_grid": {"nx": 5, "ny": 5, "region": [[0.0, 40.0], [0.0, 40.0]]},
+    "map_snapshots": [5],
+    "seed": 31,
+}
 
 
 @pytest.fixture
 def config_path(tmp_path):
-    cfg = {
-        "grid": {"lower": [0.0, 25.0], "upper": [4.0, 25.6], "cells": [5, 5]},
-        "dynamics": {"kind": "coupled_tanh"},
-        "quantization": "markovian",
-        "transition": {"samples_per_cell": 150},
-        "scene": {
-            "ref_pos": [25.0, 10.0],
-            "sensors": {"kind": "lattice", "n": 4},
-            "sigma_xi_sq": 2.0,
-            "kernel": {"params": [{"state": 1}, {"const": 10.0}]},
-        },
-        "timesteps": 6,
-        "horizon": 0,
-        "query_grid": {"nx": 5, "ny": 5, "region": [[0.0, 40.0], [0.0, 40.0]]},
-        "map_snapshots": [5],
-        "seed": 31,
-    }
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(SMALL_CONFIG))
     return path
 
 
@@ -87,10 +95,18 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
         ("scene", "kernel", {"params": [{"const": -1.0}, {"const": 10.0}]}, "scene.kernel.params[0]"),
         ("scene", "kernel", {"params": [{"state": 1}, {"const": 0.0}]}, "scene.kernel.params[1]"),
         ("scene", "kernel", {"params": [{"state": 1}]}, "scene.kernel.params"),
+        ("scene", "kernel", {"form": "gaussian", "params": [{"state": 1}, {"const": 10.0}]}, "scene.kernel.form"),
+        ("grid", "lower", [0.0, -5.0], "scene.kernel.params"),  # shadowing power bound to a range below 0
+        ("scene", "sensors", {"kind": "fixed", "positions": [[1.0, 2.0, 3.0]]}, "scene.sensors.positions"),
+        ("scene", "sensors", {"kind": "fixed", "positions": []}, "scene.sensors.positions"),
+        ("scene", "sensors", {"kind": "fixed", "positions": [[25.0, 10.0]]}, "scene.sensors.positions"),
+        ("scene", "mu_index", 1, "scene.mu_index"),  # coordinate 1 also holds the shadowing power
+        ("query_grid", "region", [[24.0, 26.0], [9.0, 11.0]], "query_grid"),  # a lattice point sits on ref_pos
+        ("transition", "samples_per_cell", -150, "transition.samples_per_cell"),
     ],
 )
 def test_setup_failures_are_config_errors(config_path, tmp_path, capsys, section, field, value, named):
-    # each of these used to pass validation and then fail in phase 'setup' (exit 3)
+    # each of these used to pass validation and then fail in phase 'setup' or 'transition' (exit 3)
     cfg = json.loads(config_path.read_text())
     cfg[section][field] = value
     config_path.write_text(json.dumps(cfg))
@@ -151,3 +167,50 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "phase" in err and "track" in err
+
+
+def _leaf_mutations(node, path=()):
+    """Every single-leaf mutation of a JSON tree: ``(path, kind)`` with kind 'type', 'sign' or 'length'."""
+    if isinstance(node, dict):
+        return [m for key, value in node.items() for m in _leaf_mutations(value, path + (key,))]
+    if isinstance(node, list):
+        inner = [m for i, value in enumerate(node) for m in _leaf_mutations(value, path + (i,))]
+        return [(path, "length"), (path, "type")] + inner
+    kinds = ["type"] + (["sign"] if isinstance(node, (int, float)) and not isinstance(node, bool) else [])
+    return [(path, kind) for kind in kinds]
+
+
+_OTHER_TYPES = [None, True, "x", 3, 2.5, [], {}]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    mutation=st.sampled_from(_leaf_mutations(SMALL_CONFIG)),
+    replacement=st.sampled_from(_OTHER_TYPES),
+    grow=st.booleans(),
+)
+def test_mutated_config_is_valid_or_config_error(mutation, replacement, grow):
+    # one mutated leaf yields a config or a ConfigError, and the CLI exits 0, 2 or 3 without raising
+    (*parents, leaf), kind = mutation
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    holder = cfg
+    for key in parents:
+        holder = holder[key]
+    value = holder[leaf]
+    if kind == "sign":
+        holder[leaf] = -value
+    elif kind == "length":
+        holder[leaf] = value + value[-1:] if grow else value[:-1]
+    elif type(replacement) is not type(value):
+        holder[leaf] = replacement
+    try:
+        valid = isinstance(config_from_dict(cfg), ScenarioConfig)
+    except ConfigError:
+        valid = False
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["experiment", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert (code == 2) == (not valid)

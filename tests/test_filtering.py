@@ -6,7 +6,6 @@ import pytest
 
 from chantrack.channel import (
     ChannelScene,
-    KernelSpec,
     ObservationBatch,
     StateToChannelMap,
     build_obs_covariance,
@@ -30,7 +29,6 @@ def const_theta_scene(sensors, sigma_xi_sq=1.0, theta=(9.0, 10.0), mu_index=0):
         ref_pos=np.array([25.0, 10.0]),
         sensors=np.asarray(sensors, float),
         sigma_xi_sq=sigma_xi_sq,
-        kernel=KernelSpec(),
         state_map=StateToChannelMap(mu_index=mu_index, theta_bindings=(float(theta[0]), float(theta[1]))),
     )
 
@@ -161,17 +159,19 @@ def test_estimate_stays_in_box():
             assert np.all(record.estimate <= np.asarray(grid.upper) + 1e-12)
 
 
-def test_functional_estimate_consistency():
+def test_estimate_matches_matrix_power():
+    # reference: X P^rho b with the dense matrix power, for the session's horizon and for others
     rng = np.random.default_rng(3)
     grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 2, 3)
-    session = GridFilter(grid, tm, scene, prior, rho=1)
-    session.run_tracking(observations)
-    assert np.array_equal(session.functional_estimate(session.X), session.estimate())
-    assert session.functional_estimate(np.ones((1, 4)))[0] == pytest.approx(1.0, abs=1e-12)
-    indicator = np.zeros((1, 4))
-    indicator[0, 2] = 1.0
-    zero_horizon = GridFilter(grid, tm, scene, session.belief.copy(), rho=0)
-    assert zero_horizon.functional_estimate(indicator)[0] == session.belief[2]
+    for session_rho in (0, 2):
+        session = GridFilter(grid, tm, scene, prior, rho=session_rho)
+        session.run_tracking(observations)
+        for rho in (1, 2, 5):
+            expected = session.X @ np.linalg.matrix_power(tm.matrix, rho) @ session.belief
+            assert np.max(np.abs(session.estimate(rho) - expected)) <= 1e-12
+        assert np.array_equal(session.estimate(0), session.X @ session.belief)
+    with pytest.raises(ValueError, match="rho"):
+        session.estimate(-1)
 
 
 def test_run_tracking_empty_returns_prior_record():

@@ -209,6 +209,27 @@ def test_prior_baseline_ergodic_two_state():
     assert base[-1, 0] == pytest.approx(target, abs=1e-6)
 
 
+@pytest.mark.parametrize("timesteps", [0, 6])
+def test_prior_baseline_horizon_matches_matrix_power(timesteps):
+    chain = {"kind": "finite_chain", "points": [[0.25], [0.75]], "matrix": [[0.7, 0.3], [0.3, 0.7]]}
+    cfg = config_from_dict(constant_state_config(0.25, 2, dynamics=chain, timesteps=timesteps, horizon=2))
+    tm = TransitionMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]), mode="markovian")
+    base = prior_baseline(cfg, tm)
+    X, p2 = np.array([[0.25, 0.75]]), np.linalg.matrix_power(tm.matrix, 2)
+    beliefs = [np.linalg.matrix_power(tm.matrix, t + 1) @ [1.0, 0.0] for t in range(timesteps)] or [[1.0, 0.0]]
+    expected = np.stack([X @ p2 @ b for b in beliefs])
+    assert base.shape == expected.shape and np.max(np.abs(base - expected)) <= 1e-12
+
+
+def test_query_lattice_on_reference_antenna_rejected_only_when_used(tmp_path):
+    # fixed sensors and no map snapshots never evaluate the query lattice
+    on_ref = {"nx": 1, "ny": 1, "region": [[24.0, 26.0], [9.0, 11.0]]}
+    cfg = config_from_dict(constant_state_config(1 / 3, 4, query_grid=on_ref, timesteps=3, out_dir=str(tmp_path)))
+    assert run_experiment(cfg).resets == 0
+    with pytest.raises(ConfigError, match="query_grid"):
+        config_from_dict(constant_state_config(1 / 3, 4, query_grid=on_ref, map_snapshots=[1]))
+
+
 def test_prior_baseline_pairs_with_experiment(tmp_path):
     cfg = config_from_dict(small_config_dict(out_dir=str(tmp_path)))
     m = run_experiment(cfg)

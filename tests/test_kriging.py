@@ -6,7 +6,6 @@ import pytest
 import chantrack.kriging as kriging
 from chantrack.channel import (
     ChannelScene,
-    KernelSpec,
     ObservationBatch,
     StateCoord,
     StateToChannelMap,
@@ -27,7 +26,6 @@ def make_scene(sensors, sigma_xi_sq=2.0, theta=(25.0, 10.0)):
         ref_pos=np.array([25.0, 10.0]),
         sensors=np.asarray(sensors, float),
         sigma_xi_sq=sigma_xi_sq,
-        kernel=KernelSpec(),
         state_map=StateToChannelMap(mu_index=0, theta_bindings=(float(theta[0]), float(theta[1]))),
     )
 
@@ -126,7 +124,6 @@ def _benchmark_grid_scenario(rng, n_obs):
         ref_pos=np.array([25.0, 10.0]),
         sensors=rng.uniform(0, 40, (30, 2)),
         sigma_xi_sq=2.0,
-        kernel=KernelSpec(),
         state_map=StateToChannelMap(mu_index=0, theta_bindings=(StateCoord(1), 10.0)),
     )
     cols = rng.random((900, 900)) + 0.01

@@ -10,8 +10,8 @@ from chantrack.markov import (
     estimate_transition_markovian,
     finite_chain_dynamics,
     initial_belief,
+    propagate_profile,
     simulate_trajectory,
-    transition_power,
 )
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -149,14 +149,17 @@ def test_initial_belief_uniform_sampler():
     assert np.max(np.abs(b - 0.25)) <= 3 / np.sqrt(n * 4)
 
 
-def test_transition_power():
-    tm = TransitionMatrix(FLIP, mode="markovian")
-    assert np.array_equal(transition_power(tm, 0), np.eye(2))
-    ident = TransitionMatrix(np.eye(2), mode="markovian")
-    assert np.array_equal(transition_power(ident, 7), np.eye(2))
-    two = transition_power(tm, 2)
+def test_propagate_profile():
+    # the identity profile propagates to the matrix power itself
+    assert np.array_equal(propagate_profile(np.eye(2), FLIP, 0), np.eye(2))
+    assert np.array_equal(propagate_profile(np.eye(2), np.eye(2), 7), np.eye(2))
+    two = propagate_profile(np.eye(2), FLIP, 2)
     assert two[0, 0] == pytest.approx(0.58, abs=1e-12)  # 0.7^2 + 0.3^2
     assert np.allclose(two.sum(axis=0), 1.0, atol=1e-10)
+    # one profile: entry j is the expected profile value two steps after cell j
+    assert propagate_profile([0.25, 0.75], FLIP, 2) == pytest.approx([0.46, 0.54], abs=1e-12)
+    with pytest.raises(ValueError):
+        propagate_profile(np.eye(2), FLIP, -1)
 
 
 def test_simulate_trajectory_identity_constant():
