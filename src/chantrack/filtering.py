@@ -26,7 +26,7 @@ from .channel import (
     build_obs_covariance,
 )
 from .grid import GridSpec, reconstruction_matrix
-from .markov import TransitionMatrix, propagate_profile, uniform_belief
+from .markov import TransitionMatrix, horizon_steps, propagate_profile, uniform_belief
 from .util import single_thread_blas
 
 __all__ = ["GridFilter", "TrackRecord", "DegenerateLikelihoodError", "brute_force_posterior"]
@@ -76,8 +76,7 @@ class GridFilter:
             raise ValueError("transition matrix size does not match the grid")
         if scene.state_map.state_dim_required > grid.ndim:
             raise ValueError("state map binds coordinates beyond the grid dimension")
-        if rho < 0:
-            raise ValueError("rho must be >= 0")
+        rho = horizon_steps(rho)
         belief = np.asarray(initial_belief, dtype=float).copy()
         if belief.shape != (grid.n_cells,):
             raise ValueError("initial belief length must equal the cell count")
@@ -87,7 +86,7 @@ class GridFilter:
         self.grid = grid
         self.transition = transition
         self.scene = scene
-        self.rho = int(rho)
+        self.rho = rho
         self.X = reconstruction_matrix(grid)
         self.P = transition.matrix
         self.X_rho = propagate_profile(self.X, self.P, rho)
@@ -164,7 +163,7 @@ class GridFilter:
 
     def estimate(self, rho: int | None = None) -> np.ndarray:
         """State estimate ``X P^rho b``, ``rho`` (default: the session's horizon) steps past the last observation."""
-        X_rho = self.X_rho if rho is None or rho == self.rho else propagate_profile(self.X, self.P, rho)
+        X_rho = self.X_rho if rho is None or horizon_steps(rho) == self.rho else propagate_profile(self.X, self.P, rho)
         return X_rho @ self.belief
 
     def run_tracking(self, observations: Sequence[ObservationBatch], on_record=None) -> list[TrackRecord]:

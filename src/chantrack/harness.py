@@ -8,7 +8,11 @@ snapshot times and write the artifacts:
 
 * ``state_trace.csv``   -- ``t, true_x1, ..., est_x1, ...`` per observation
 * ``map_t<k>.csv``      -- ``qx_m, qy_m, true_gain_db, pred_gain_db``
-* ``metrics.json``      -- RMSEs, resets, phase runtimes, resolved seed, config echo
+* ``metrics.json``      -- RMSEs, resets, phase runtimes, resolved seed, config echo,
+  and filter health: ``observation_conditioning`` (the smallest
+  observation-covariance eigenvalue over the grid's kernel parameters),
+  ``reset_times`` (the timesteps of belief resets) and ``patched_columns``
+  (transition columns patched uniform for never-visited cells)
 * ``config_echo.json``  -- the resolved configuration
 
 Identical configurations produce byte-identical CSV artifacts.
@@ -567,7 +571,7 @@ def run_experiment(
         dyn = build_dynamics(cfg)
         scene = build_scene(cfg, np.random.default_rng(sensor_ss))
         queries = query_points(cfg)
-        observation_conditioning(scene, 0, scene.state_map.theta_of(reconstruction_matrix(grid).T))
+        conditioning = observation_conditioning(scene, 0, scene.state_map.theta_of(reconstruction_matrix(grid).T))
 
     with _phase(runtime_s, "transition"):
         if transition is None:
@@ -647,6 +651,9 @@ def run_experiment(
                 "rmse_state": [float(v) for v in rmse_state],
                 "rmse_map": {str(k): v for k, v in rmse_map.items()},
                 "resets": metrics.resets,
+                "reset_times": list(session.reset_events),
+                "observation_conditioning": conditioning,
+                "patched_columns": transition.patched_columns,
                 "runtime_s": runtime_s,
                 "resolved_seed": cfg.seed,
                 "config": echo,

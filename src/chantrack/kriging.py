@@ -5,9 +5,11 @@ is the belief-weighted average, over grid cells, of the Gaussian
 conditional mean of the gain given that cell's state and the current
 observations.  The average is linear in the belief, and the cells of one
 kernel-parameter group ``u`` share their covariance solves ``v_y, v_alpha``,
-so it collapses to one kernel-weighted sum per group,
-``pred(q) = alpha_q E[mu] + sum_u k_u(q, sensors) . (w_u v_y,u - m_u v_alpha,u)``,
-with ``w_u`` the group's belief mass and ``m_u`` its mu-weighted mass.  For
+with ``w_u`` the group's belief mass and ``m_u`` its mu-weighted mass.  The
+kernel ``theta1 exp(-d / theta2)`` is linear in the shadowing power, so the
+groups that share a correlation distance form one class ``c`` and
+``pred(q) = alpha_q E[mu] + sum_c k(q, sensors; 1, theta2_c) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``:
+one kernel pass over the query-sensor distances per distinct ``theta2``.  For
 ``rho >= 1`` the observation carries no extra information beyond the
 propagated state belief, so the prediction reduces to the query's
 path-loss coefficient times the predicted path-loss exponent.
@@ -31,6 +33,7 @@ from .channel import (
     point_path_loss,
 )
 from .filtering import GridFilter
+from .markov import horizon_steps
 from .util import single_thread_blas
 
 __all__ = ["QuerySpec", "kriging_mean", "gain_profile", "predict_gain", "predict_gain_map"]
@@ -49,9 +52,8 @@ class QuerySpec:
             raise ValueError(f"query points must have shape (Q >= 1, 2), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("query points must be finite")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "rho", horizon_steps(self.rho))
 
     @property
     def n_points(self) -> int:
@@ -115,15 +117,18 @@ def predict_gain(session: GridFilter, obs: ObservationBatch, query, rho: int | N
     The gain map of :func:`predict_gain_map` on the one point ``query``;
     ``rho`` defaults to the session's horizon.
     """
-    rho = session.rho if rho is None else int(rho)
+    rho = session.rho if rho is None else rho
     return float(predict_gain_map(session, obs, QuerySpec(np.asarray(query, dtype=float)[None, :], rho))[0])
 
 
 def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QuerySpec) -> np.ndarray:
     """Predicted gain at every query point of a :class:`QuerySpec`.
 
-    For ``rho = 0``, ``alpha_q (mus @ belief) + sum_u k_u(q, sensors) . (w_u v_y,u - m_u v_alpha,u)``
-    with a loop over the parameter groups ``u`` only.  Each ``(Q, N)`` kernel
+    For ``rho = 0``,
+    ``alpha_q (mus @ belief) + sum_c k(q, sensors; 1, theta2_c) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
+    over the classes ``c`` of parameter groups ``u`` with equal correlation
+    distance ``theta2``: the number of kernel passes is the number of distinct
+    ``theta2`` values (one when it is a constant).  Each ``(Q, N)`` kernel
     block is reduced with ``einsum``, not a BLAS GEMV, so a point's value does
     not depend on how many points share the call.
     """
@@ -138,9 +143,12 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
     mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
     v_y, v_alpha = _cell_solves(session, obs)
-    coeffs = mass[:, None] * v_y - mu_mass[:, None] * v_alpha
+    theta1, theta2 = session.group_thetas.T
+    ranges, group_class = np.unique(theta2, return_inverse=True)
+    coeffs = np.zeros((len(ranges), obs.n_sensors))
+    np.add.at(coeffs, group_class, theta1[:, None] * (mass[:, None] * v_y - mu_mass[:, None] * v_alpha))
     d = cdist(queries.points, scene.sensors_at(obs.t))
     pred = alpha_q * (session.mus @ belief)
-    for theta, c in zip(session.group_thetas, coeffs):
-        pred += np.einsum("qn,n->q", kernel_eval(d, theta), c)
+    for distance, c in zip(ranges, coeffs):
+        pred += np.einsum("qn,n->q", kernel_eval(d, (1.0, distance)), c)
     return pred

@@ -17,6 +17,7 @@ the sequential result bit for bit.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -27,6 +28,7 @@ from .grid import GridSpec, cell_index, reconstruction_matrix
 from .util import as_rng
 
 __all__ = [
+    "horizon_steps",
     "StateDynamics",
     "TransitionMatrix",
     "coupled_tanh_dynamics",
@@ -256,16 +258,25 @@ def initial_belief(dyn: StateDynamics, grid: GridSpec, n_samples: int = 10_000, 
     return counts / n_samples
 
 
+def horizon_steps(rho) -> int:
+    """The forecast horizon ``rho`` as a step count; a float, a string or a negative is a ``ValueError``, never rounded."""
+    try:
+        steps = operator.index(rho)
+    except TypeError:
+        raise ValueError(f"rho must be an integer number of steps, got {rho!r}") from None
+    if steps < 0:
+        raise ValueError(f"rho must be >= 0, got {steps}")
+    return steps
+
+
 def propagate_profile(profile, matrix: np.ndarray, rho: int) -> np.ndarray:
     """``profile @ P^rho``: per-cell values (one column per cell) pushed ``rho`` steps through the chain ``P``.
 
     Computed as ``rho`` row products, never forming ``P^rho``; ``rho = 0``
     returns the profile itself.
     """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
     out = np.asarray(profile, dtype=float)
-    for _ in range(rho):
+    for _ in range(horizon_steps(rho)):
         out = out @ matrix
     return out
 

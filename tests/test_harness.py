@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import chantrack.filtering as filtering
 import chantrack.harness as harness
+from chantrack.channel import observation_conditioning
 from chantrack.filtering import GridFilter, brute_force_posterior
+from chantrack.grid import reconstruction_matrix
 from chantrack.harness import (
     ConfigError,
     PhaseFailure,
@@ -160,6 +163,32 @@ def test_metrics_recompute_from_artifacts(tmp_path):
     assert set(metrics["runtime_s"]) >= {"setup", "transition", "simulate", "track", "predict"}
     assert metrics["resolved_seed"] == 77
     assert metrics["config"]["timesteps"] == 8
+
+
+def test_metrics_report_filter_health(tmp_path, monkeypatch):
+    # the conditioning floor of setup, the time of each belief reset and the patched transition columns
+    cfg = config_from_dict(small_config_dict(out_dir=str(tmp_path)))
+    grid = harness.build_grid(cfg)
+    cols = np.random.default_rng(3).random((grid.n_cells, grid.n_cells)) + 0.1
+    tm = TransitionMatrix(cols / cols.sum(0), mode="marginal", patched_columns=4)
+    original = filtering._normalized_update
+    calls = []
+
+    def no_mass_at_t5(likelihood, prior):
+        calls.append(1)
+        return None if len(calls) == 6 else original(likelihood, prior)
+
+    monkeypatch.setattr(filtering, "_normalized_update", no_mass_at_t5)
+    with pytest.warns(UserWarning, match="reset to uniform at t=5"):
+        m = run_experiment(cfg, transition=tm)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["reset_times"] == [5]
+    assert metrics["resets"] == m.resets == 1
+    assert metrics["patched_columns"] == 4
+    scene = harness.build_scene(cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(5)[0]))
+    floor = observation_conditioning(scene, 0, scene.state_map.theta_of(reconstruction_matrix(grid).T))
+    assert metrics["observation_conditioning"] == floor
+    assert floor >= cfg.scene.sigma_xi_sq
 
 
 def test_zero_timesteps_gives_prior_row_only(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import chantrack.kriging as kriging
 from chantrack.channel import (
@@ -11,6 +12,7 @@ from chantrack.channel import (
     StateToChannelMap,
     build_obs_covariance,
     cross_covariance,
+    kernel_eval,
     point_path_loss,
     sample_observation,
 )
@@ -44,6 +46,24 @@ def test_query_spec_validation():
         QuerySpec(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError):
         QuerySpec(np.array([[1.0, 2.0]]), rho=-1)
+
+
+@pytest.mark.parametrize("rho", [1.5, 0.5, 2.0, "2"])
+def test_non_integer_horizon_rejected(rho):
+    # a horizon is a whole number of steps; nothing may round or truncate it
+    rng = np.random.default_rng(14)
+    grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 3, 2)
+    with pytest.raises(ValueError, match="rho"):
+        GridFilter(grid, tm, scene, prior, rho=rho)
+    session = GridFilter(grid, tm, scene, prior, rho=2)
+    session.run_tracking(observations)
+    with pytest.raises(ValueError, match="rho"):
+        session.estimate(rho)
+    pts = rng.uniform(0, 40, (3, 2))
+    with pytest.raises(ValueError, match="rho"):
+        QuerySpec(pts, rho=rho)
+    with pytest.raises(ValueError, match="rho"):
+        predict_gain(session, observations[-1], pts[0], rho=rho)
 
 
 def test_kriging_mean_prior_collapse_without_shadowing():
@@ -130,6 +150,93 @@ def _benchmark_grid_scenario(rng, n_obs):
     tm = TransitionMatrix(cols / cols.sum(0), mode="markovian")
     observations = [sample_observation(scene, t, np.array([2.0, 25.3]), rng) for t in range(n_obs)]
     return grid, tm, scene, observations, uniform_belief(900)
+
+
+def _range_bound_scenario(rng, theta1):
+    """A tracked session whose correlation distance is bound to the state, three distinct values.
+
+    ``theta2 = x2`` on a 2-D grid with the constant ``theta1``, or, for
+    ``theta1 = "state"``, ``theta1 = x2, theta2 = x3`` on a 3-D grid whose
+    ``x2`` has a cell center at 0.
+    """
+    if theta1 == "state":
+        grid = GridSpec((0.0, -2.5, 4.0), (4.0, 12.5, 16.0), (3, 3, 3))
+        bindings = (StateCoord(1), StateCoord(2))
+    else:
+        grid = GridSpec((0.0, 4.0), (4.0, 16.0), (4, 3))
+        bindings = (theta1, StateCoord(1))
+    scene = ChannelScene(
+        ref_pos=np.array([25.0, 10.0]),
+        sensors=rng.uniform(0, 40, (5, 2)),
+        sigma_xi_sq=1.5,
+        state_map=StateToChannelMap(mu_index=0, theta_bindings=bindings),
+    )
+    cols = rng.random((grid.n_cells, grid.n_cells)) + 0.1
+    tm = TransitionMatrix(cols / cols.sum(0), mode="markovian")
+    session = GridFilter(grid, tm, scene, uniform_belief(grid.n_cells))
+    states = session.X[:, rng.integers(0, grid.n_cells, 3)].T
+    session.run_tracking([sample_observation(scene, t, x, rng) for t, x in enumerate(states)])
+    obs = sample_observation(scene, 3, states[-1], rng)
+    session.step(obs)
+    return session, obs
+
+
+@pytest.mark.parametrize("theta1", [25.0, 0.0, "state"])
+def test_predict_map_with_state_bound_correlation_distance(theta1):
+    # several correlation-distance classes, and a group with no shadowing power
+    rng = np.random.default_rng(15)
+    session, obs = _range_bound_scenario(rng, theta1)
+    assert np.any(session.group_thetas[:, 0] == 0.0) == (theta1 != 25.0)
+    assert len(np.unique(session.group_thetas[:, 1])) == 3
+    pts = rng.uniform(0.0, 40.0, (6, 2))
+    out = predict_gain_map(session, obs, QuerySpec(pts))
+    for q, value in zip(pts, out):
+        ref = sum(b * kriging_mean(x, obs, q, session.scene) for b, x in zip(session.belief, session.X.T))
+        assert value == pytest.approx(ref, rel=1e-9)
+
+
+def test_predict_map_matches_per_group_sum_benchmark_grid():
+    # the per-class sum against one kernel block per parameter group
+    rng = np.random.default_rng(16)
+    grid, tm, scene, observations, prior = _benchmark_grid_scenario(rng, 3)
+    session = GridFilter(grid, tm, scene, prior)
+    session.run_tracking(observations)
+    obs = observations[-1]
+    pts = rng.uniform(0.0, 40.0, (200, 2))
+    belief = session.belief
+    n_groups = len(session.group_thetas)
+    mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
+    mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
+    v_y, v_alpha = kriging._cell_solves(session, obs)
+    d = cdist(pts, scene.sensors)
+    per_group = point_path_loss(scene.ref_pos, pts) * (session.mus @ belief)
+    for u, theta in enumerate(session.group_thetas):
+        per_group += np.einsum("qn,n->q", kernel_eval(d, theta), mass[u] * v_y[u] - mu_mass[u] * v_alpha[u])
+    assert predict_gain_map(session, obs, QuerySpec(pts)) == pytest.approx(per_group, rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["benchmark_grid", 25.0, "state"])
+def test_predict_map_one_kernel_pass_per_correlation_distance(monkeypatch, scenario):
+    rng = np.random.default_rng(17)
+    if scenario == "benchmark_grid":
+        grid, tm, scene, observations, prior = _benchmark_grid_scenario(rng, 1)
+        session = GridFilter(grid, tm, scene, prior)
+        session.run_tracking(observations)
+        obs, expected = observations[-1], 1
+    else:
+        session, obs = _range_bound_scenario(rng, scenario)
+        expected = 3
+    assert len(session.group_thetas) == {"benchmark_grid": 30, 25.0: 3, "state": 9}[scenario]
+    calls = []
+    original = kriging.kernel_eval
+
+    def counting(d, theta):
+        calls.append(theta)
+        return original(d, theta)
+
+    monkeypatch.setattr(kriging, "kernel_eval", counting)
+    predict_gain_map(session, obs, QuerySpec(rng.uniform(0, 40, (64, 2))))
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("scenario", ["small", "benchmark_grid"])
