@@ -66,9 +66,9 @@ def kernel_eval(d, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     t1 = theta[..., 0]
     t2 = theta[..., 1]
-    if np.any(t2 <= 0.0):
+    if (t2 <= 0.0).any():
         raise ValueError("correlation distance theta2 must be > 0")
-    if np.any(t1 < 0.0):
+    if (t1 < 0.0).any():
         raise ValueError("shadowing power theta1 must be >= 0")
     return t1 * np.exp(-d / t2)
 
@@ -136,7 +136,8 @@ class ChannelScene:
     """Geometry and noise model shared by all observation-layer operations.
 
     ``sensors`` is either a static ``(N, 2)`` position array or a scripted
-    ``(T, N, 2)`` sequence for known sensor mobility.  ``sigma_xi_sq`` is the
+    ``(T, N, 2)`` sequence for known sensor mobility; the pairwise distances
+    of static sensors are computed once.  ``sigma_xi_sq`` is the
     multipath noise variance in dB^2; zero is permitted only for analytic
     test modes (the observation covariance then loses its diagonal loading).
     """
@@ -164,6 +165,10 @@ class ChannelScene:
         object.__setattr__(self, "ref_pos", ref)
         object.__setattr__(self, "sensors", sens)
         object.__setattr__(self, "sigma_xi_sq", float(self.sigma_xi_sq))
+        if sens.ndim == 2:
+            dist = cdist(sens, sens)
+            dist.flags.writeable = False
+            object.__setattr__(self, "_static_distances", dist)
 
     @property
     def n_sensors(self) -> int:
@@ -179,6 +184,13 @@ class ChannelScene:
         if not 0 <= t < self.sensors.shape[0]:
             raise ValueError(f"no scripted sensor positions for time {t}")
         return self.sensors[t]
+
+    def sensor_distances(self, t: int) -> np.ndarray:
+        """Pairwise sensor distances at time ``t``, shape ``(N, N)``."""
+        if self.static:
+            return self._static_distances
+        pts = self.sensors_at(t)
+        return cdist(pts, pts)
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,7 @@ def point_path_loss(ref_pos, points, label: str = "point") -> np.ndarray:
     """Path-loss coefficients ``-10 log10 ||p - ref||`` for arbitrary points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = np.linalg.norm(pts - np.asarray(ref_pos, dtype=float), axis=-1)
-    if np.any(d < D_MIN):
+    if (d < D_MIN).any():
         i = int(np.argmin(d))
         raise ValueError(f"{label} {i} is closer than {D_MIN} m to the reference antenna")
     return -10.0 * np.log10(d)
@@ -221,14 +233,14 @@ def path_loss_coeffs(scene: ChannelScene, t: int = 0) -> np.ndarray:
 
 def build_covariance(scene: ChannelScene, t: int, theta) -> np.ndarray:
     """Conditional shadowing covariance over the sensors at time ``t``."""
-    pts = scene.sensors_at(t)
-    return kernel_eval(cdist(pts, pts), theta)
+    return kernel_eval(scene.sensor_distances(t), theta)
 
 
 def build_obs_covariance(scene: ChannelScene, t: int, theta) -> np.ndarray:
     """Observation covariance: shadowing covariance plus multipath loading."""
     c = build_covariance(scene, t, theta)
-    return c + scene.sigma_xi_sq * np.eye(scene.n_sensors)
+    c.flat[:: scene.n_sensors + 1] += scene.sigma_xi_sq
+    return c
 
 
 def cross_covariance(scene: ChannelScene, t: int, q, theta) -> np.ndarray:

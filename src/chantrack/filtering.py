@@ -100,6 +100,7 @@ class GridFilter:
         self.group_thetas, self.group_index = _stable_unique_rows(thetas)
         self.group_cells = [np.flatnonzero(self.group_index == u) for u in range(len(self.group_thetas))]
         self._cached_factors = self._build_factors(0) if scene.static else None
+        self.map_memo: dict = {}  # filled by kriging at the first map, for static sensors only
 
     @property
     def n_cells(self) -> int:

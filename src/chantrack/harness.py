@@ -12,7 +12,8 @@ snapshot times and write the artifacts:
   and filter health: ``observation_conditioning`` (the smallest
   observation-covariance eigenvalue over the grid's kernel parameters),
   ``reset_times`` (the timesteps of belief resets) and ``patched_columns``
-  (transition columns patched uniform for never-visited cells)
+  (transition columns patched uniform for never-visited cells; ``null``
+  for a matrix read from an older file that does not carry the count)
 * ``config_echo.json``  -- the resolved configuration
 
 Identical configurations produce byte-identical CSV artifacts.
@@ -728,32 +729,48 @@ def l_sweep(cfg: ScenarioConfig, L_values, n_seeds: int = 20) -> list[tuple[int,
     return [(L, float(np.median(errors[L]))) for L in L_values]
 
 
-TRANSITION_MAGIC = b"CGRIDP1\x00"
+TRANSITION_MAGIC = b"CGRIDP2\x00"
+_V1_MAGIC = b"CGRIDP1\x00"
 _MODE_TAGS = {"markovian": 1, "marginal": 2}
 _TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 
 
 def save_transition(path, transition: TransitionMatrix) -> None:
-    """Persist a transition matrix: 16-byte header then row-major little-endian f64."""
-    header = TRANSITION_MAGIC + struct.pack("<II", transition.n_cells, _MODE_TAGS[transition.mode])
+    """Persist a transition matrix: 24-byte header then row-major little-endian f64.
+
+    The header is the magic, the cell count and mode tag (``u32`` each) and
+    the patched column count (``i64``, -1 when unknown).
+    """
+    patched = -1 if transition.patched_columns is None else transition.patched_columns
+    header = TRANSITION_MAGIC + struct.pack("<IIq", transition.n_cells, _MODE_TAGS[transition.mode], patched)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(transition.matrix, dtype="<f8").tobytes())
 
 
 def load_transition(path) -> TransitionMatrix:
+    """Read a file written by :func:`save_transition`.
+
+    Also reads the older 16-byte-header files, which carry no patched
+    column count; it is then unknown (``None``), never 0.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16 or blob[:8] != TRANSITION_MAGIC:
+    if blob[:8] == TRANSITION_MAGIC and len(blob) >= 24:
+        n, tag, patched = struct.unpack("<IIq", blob[8:24])
+        offset = 24
+    elif blob[:8] == _V1_MAGIC and len(blob) >= 16:
+        n, tag = struct.unpack("<II", blob[8:16])
+        patched, offset = -1, 16
+    else:
         raise ValueError(f"{path}: not a transition matrix file (bad magic)")
-    n, tag = struct.unpack("<II", blob[8:16])
     if tag not in _TAG_MODES:
         raise ValueError(f"{path}: unknown quantization mode tag {tag}")
-    expected = 16 + 8 * n * n
+    expected = offset + 8 * n * n
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for {n} cells, got {len(blob)}")
-    matrix = np.frombuffer(blob, dtype="<f8", offset=16).reshape(n, n).astype(float)
-    return TransitionMatrix(matrix, mode=_TAG_MODES[tag])
+    matrix = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(n, n).astype(float)
+    return TransitionMatrix(matrix, mode=_TAG_MODES[tag], patched_columns=None if patched < 0 else patched)
 
 
 def random_small_scenario(rng, n_cells: int, n_sensors: int, n_obs: int):

@@ -6,15 +6,26 @@ conditional mean of the gain given that cell's state and the current
 observations.  The average is linear in the belief, and the cells of one
 kernel-parameter group ``u`` share their covariance solves ``v_y, v_alpha``,
 with ``w_u`` the group's belief mass and ``m_u`` its mu-weighted mass.  The
-kernel ``theta1 exp(-d / theta2)`` is linear in the shadowing power, so the
-groups that share a correlation distance form one class ``c`` and
-``pred(q) = alpha_q E[mu] + sum_c k(q, sensors; 1, theta2_c) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``:
-one kernel pass over the query-sensor distances per distinct ``theta2``.  For
-``rho >= 1`` the observation carries no extra information beyond the
+solves are products with the group precisions ``Lambda_u = W_u^T W_u``,
+``W_u`` the inverse of the group's Cholesky factor (one batched inverse).
+The kernel ``theta1 exp(-d / theta2)`` is linear in the shadowing power, so
+the groups that share a correlation distance form one class ``c`` and
+``pred(q) = alpha_q E[mu] + sum_c K_c(q) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
+with the unit-power kernel blocks ``K_c = k(q, sensors; 1, theta2_c)``.
+For ``rho >= 1`` the observation carries no extra information beyond the
 propagated state belief, so the prediction reduces to the query's
 path-loss coefficient times the predicted path-loss exponent.
 ``predict_gain_map`` is the one prediction route; ``predict_gain`` is the
 map on one point.
+
+When the sensors are static, nothing but the belief and the observation
+changes between maps, so the session keeps what the rest depends on:
+the ``(G, N, N)`` precisions, built at the first map, and, for the last
+:class:`QuerySpec` seen, the query path-loss coefficients and the
+``(C, Q, N)`` kernel blocks (``C Q N 8`` bytes; 0.86 MB for 3,600 points,
+30 sensors and one correlation distance).  A map is then one small
+contraction.  Moving sensors rebuild both on every call through the same
+functions, so static and scripted sessions give bitwise equal maps.
 """
 
 from __future__ import annotations
@@ -34,24 +45,28 @@ from .channel import (
 )
 from .filtering import GridFilter
 from .markov import horizon_steps
-from .util import single_thread_blas
 
 __all__ = ["QuerySpec", "kriging_mean", "gain_profile", "predict_gain", "predict_gain_map"]
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A batch of spatial query points and the prediction horizon."""
+    """A batch of spatial query points and the prediction horizon.
+
+    ``points`` is a read-only copy of the caller's array, so a map memo keyed
+    on the spec cannot go stale.
+    """
 
     points: np.ndarray
     rho: int = 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError(f"query points must have shape (Q >= 1, 2), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("query points must be finite")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "rho", horizon_steps(self.rho))
 
@@ -78,21 +93,41 @@ def kriging_mean(x, obs: ObservationBatch, query, scene) -> float:
     return alpha_q * mu + float(cross @ cho_solve((factor, True), innovation, check_finite=False))
 
 
+def _memoized(session: GridFilter, key: str, owner, build):
+    """``build()``, kept on a static-sensor session while ``owner`` stays the same object.
+
+    Moving sensors get a fresh ``build()`` on every call.
+    """
+    if not session.scene.static:
+        return build()
+    held = session.map_memo.get(key)
+    if held is None or held[0] is not owner:
+        held = session.map_memo[key] = (owner, build())
+    return held[1]
+
+
+def _precisions(session: GridFilter, t: int) -> np.ndarray:
+    """Per parameter group, the observation-covariance precision ``W^T W``, shape ``(G, N, N)``.
+
+    ``W`` is the inverse of the group's Cholesky factor, from one batched
+    inverse of the stacked factors.
+    """
+
+    def build():
+        inverse = np.linalg.inv(np.stack([factor for factor, _ in session.factors_at(t)]))
+        return np.einsum("gkn,gkm->gnm", inverse, inverse)
+
+    return _memoized(session, "precisions", None, build)
+
+
 def _cell_solves(session: GridFilter, obs: ObservationBatch) -> tuple[np.ndarray, np.ndarray]:
     """Per parameter group, the covariance solves against ``y`` and ``alpha``.
 
     The cell residual is affine in the cell's path-loss exponent, so solving
     for ``y`` and ``alpha`` once per group covers every cell and every query.
     """
-    n_groups = len(session.group_thetas)
-    v_y = np.empty((n_groups, obs.n_sensors))
-    v_alpha = np.empty_like(v_y)
-    with single_thread_blas():
-        for u, (factor, _) in enumerate(session.factors_at(obs.t)):
-            key = (factor, True)
-            v_y[u] = cho_solve(key, obs.y, check_finite=False)
-            v_alpha[u] = cho_solve(key, obs.alpha, check_finite=False)
-    return v_y, v_alpha
+    precisions = _precisions(session, obs.t)
+    return np.einsum("gnm,m->gn", precisions, obs.y), np.einsum("gnm,m->gn", precisions, obs.alpha)
 
 
 def gain_profile(session: GridFilter, obs: ObservationBatch, query) -> np.ndarray:
@@ -125,30 +160,41 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     """Predicted gain at every query point of a :class:`QuerySpec`.
 
     For ``rho = 0``,
-    ``alpha_q (mus @ belief) + sum_c k(q, sensors; 1, theta2_c) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
+    ``alpha_q (mus @ belief) + sum_c K_c(q) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
     over the classes ``c`` of parameter groups ``u`` with equal correlation
-    distance ``theta2``: the number of kernel passes is the number of distinct
-    ``theta2`` values (one when it is a constant).  Each ``(Q, N)`` kernel
-    block is reduced with ``einsum``, not a BLAS GEMV, so a point's value does
-    not depend on how many points share the call.
+    distance ``theta2``: one unit-power kernel block ``K_c`` per distinct
+    ``theta2`` (one when it is a constant).  With static sensors the session
+    keeps the group precisions and, for the last ``queries`` seen, ``alpha_q``
+    and the ``(C, Q, N)`` blocks (``C Q N 8`` bytes), so a repeated map
+    evaluates no kernel; moving sensors rebuild them on every call.  Each
+    ``(Q, N)`` block is reduced with ``einsum``, not a BLAS GEMV, so a
+    point's value does not depend on how many points share the call.
     """
     if obs.n_sensors != session.scene.n_sensors:
         raise ValueError("observation dimension does not match the scene")
     scene = session.scene
-    alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
     if queries.rho:
+        alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
         return alpha_q * session.estimate(queries.rho)[scene.state_map.mu_index]
+    theta1, theta2 = session.group_thetas.T
+    ranges, group_class = np.unique(theta2, return_inverse=True)
+
+    def query_blocks():
+        alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
+        d = cdist(queries.points, scene.sensors_at(obs.t))
+        return alpha_q, np.stack([kernel_eval(d, (1.0, distance)) for distance in ranges])
+
+    alpha_q, kernels = _memoized(session, "queries", queries, query_blocks)
     belief = session.belief
     n_groups = len(session.group_thetas)
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
     mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
     v_y, v_alpha = _cell_solves(session, obs)
-    theta1, theta2 = session.group_thetas.T
-    ranges, group_class = np.unique(theta2, return_inverse=True)
     coeffs = np.zeros((len(ranges), obs.n_sensors))
     np.add.at(coeffs, group_class, theta1[:, None] * (mass[:, None] * v_y - mu_mass[:, None] * v_alpha))
-    d = cdist(queries.points, scene.sensors_at(obs.t))
     pred = alpha_q * (session.mus @ belief)
-    for distance, c in zip(ranges, coeffs):
-        pred += np.einsum("qn,n->q", kernel_eval(d, (1.0, distance)), c)
+    # one einsum per class: a single "cqn,cn->q" coalesces c with n when
+    # Q = 1 and so sums a point's terms in an order that depends on Q
+    for block, c in zip(kernels, coeffs):
+        pred += np.einsum("qn,n->q", block, c)
     return pred

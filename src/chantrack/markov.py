@@ -76,11 +76,15 @@ class StateDynamics:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Column-stochastic cell transition matrix: ``matrix[i, j] = P(next=i | current=j)``."""
+    """Column-stochastic cell transition matrix: ``matrix[i, j] = P(next=i | current=j)``.
+
+    ``patched_columns`` counts the never-visited columns set uniform by the
+    estimator; ``None`` when unknown (a matrix read from an older file).
+    """
 
     matrix: np.ndarray
     mode: str
-    patched_columns: int = 0
+    patched_columns: int | None = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)

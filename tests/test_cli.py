@@ -67,6 +67,30 @@ def test_transition_then_track_then_map(config_path, tmp_path, capsys):
     assert "map_t5.csv" in capsys.readouterr().out
 
 
+def test_track_reports_patched_columns_of_saved_transition(tmp_path, capsys):
+    # a marginal chain from 2 short paths leaves columns unvisited; the count
+    # goes through transition.bin into metrics.json, and an older file
+    # without the count reports it as unknown
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    cfg.update(quantization="marginal", transition={"n_paths": 2, "path_length": 20})
+    config_path = tmp_path / "marginal.json"
+    config_path.write_text(json.dumps(cfg))
+    out = tmp_path / "artifacts"
+    assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
+    printed = int(capsys.readouterr().out.rsplit("patched_columns=", 1)[1].rstrip(")\n"))
+    assert printed > 0
+    tpath = out / "transition.bin"
+    argv = ["track", "--config", str(config_path), "--out", str(out), "--transition"]
+    assert main(argv + [str(tpath)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["patched_columns"] == printed
+
+    blob = tpath.read_bytes()
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"CGRIDP1\x00" + blob[8:16] + blob[24:])
+    assert main(argv + [str(v1)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["patched_columns"] is None
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"grid": {"lower": [0], "upper": [1], "cells": [2]}}))

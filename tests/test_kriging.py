@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 import chantrack.kriging as kriging
@@ -46,6 +47,19 @@ def test_query_spec_validation():
         QuerySpec(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError):
         QuerySpec(np.array([[1.0, 2.0]]), rho=-1)
+
+
+def test_query_spec_points_are_read_only_copy():
+    # the map memo is keyed on the spec, so its points may not change under it
+    pts = np.random.default_rng(20).uniform(0, 40, (5, 2))
+    spec = QuerySpec(pts)
+    assert not np.shares_memory(spec.points, pts)
+    assert not spec.points.flags.writeable
+    with pytest.raises(ValueError):
+        spec.points[0, 0] = 1.0
+    kept = pts.copy()
+    pts += 3.0
+    assert np.array_equal(spec.points, kept)
 
 
 @pytest.mark.parametrize("rho", [1.5, 0.5, 2.0, "2"])
@@ -152,7 +166,7 @@ def _benchmark_grid_scenario(rng, n_obs):
     return grid, tm, scene, observations, uniform_belief(900)
 
 
-def _range_bound_scenario(rng, theta1):
+def _range_bound_scenario(rng, theta1, n_sensors=5):
     """A tracked session whose correlation distance is bound to the state, three distinct values.
 
     ``theta2 = x2`` on a 2-D grid with the constant ``theta1``, or, for
@@ -167,7 +181,7 @@ def _range_bound_scenario(rng, theta1):
         bindings = (theta1, StateCoord(1))
     scene = ChannelScene(
         ref_pos=np.array([25.0, 10.0]),
-        sensors=rng.uniform(0, 40, (5, 2)),
+        sensors=rng.uniform(0, 40, (n_sensors, 2)),
         sigma_xi_sq=1.5,
         state_map=StateToChannelMap(mu_index=0, theta_bindings=bindings),
     )
@@ -237,6 +251,94 @@ def test_predict_map_one_kernel_pass_per_correlation_distance(monkeypatch, scena
     monkeypatch.setattr(kriging, "kernel_eval", counting)
     predict_gain_map(session, obs, QuerySpec(rng.uniform(0, 40, (64, 2))))
     assert len(calls) == expected
+
+
+def _count_kernel_evals(monkeypatch) -> list:
+    calls = []
+    original = kriging.kernel_eval
+
+    def counting(d, theta):
+        calls.append(theta)
+        return original(d, theta)
+
+    monkeypatch.setattr(kriging, "kernel_eval", counting)
+    return calls
+
+
+def _tracked_benchmark_session(scene_sensors=None):
+    rng = np.random.default_rng(21)
+    grid, tm, scene, observations, prior = _benchmark_grid_scenario(rng, 3)
+    if scene_sensors == "scripted":
+        scene = dataclasses.replace(scene, sensors=np.repeat(scene.sensors[None], len(observations), axis=0))
+    session = GridFilter(grid, tm, scene, prior)
+    session.run_tracking(observations)
+    return session, observations[-1], rng
+
+
+def test_repeated_map_evaluates_no_kernel(monkeypatch):
+    # static sensors keep the kernel blocks of the last spec; the memo must
+    # not change the map, even after the caller's point array is changed
+    session, obs, rng = _tracked_benchmark_session()
+    pts = rng.uniform(0, 40, (64, 2))
+    spec = QuerySpec(pts)
+    first = predict_gain_map(session, obs, spec)
+    pts += 5.0
+    calls = _count_kernel_evals(monkeypatch)
+    second = predict_gain_map(session, obs, spec)
+    assert calls == []
+    fresh, _, _ = _tracked_benchmark_session()
+    assert np.array_equal(second, first)
+    assert np.array_equal(second, predict_gain_map(fresh, obs, spec))
+
+
+def test_map_memo_recomputes_for_other_points(monkeypatch):
+    session, obs, rng = _tracked_benchmark_session()
+    predict_gain_map(session, obs, QuerySpec(rng.uniform(0, 40, (64, 2))))
+    other = QuerySpec(rng.uniform(0, 40, (64, 2)))
+    calls = _count_kernel_evals(monkeypatch)
+    out = predict_gain_map(session, obs, other)
+    assert len(calls) == 1
+    fresh, _, _ = _tracked_benchmark_session()
+    assert np.array_equal(out, predict_gain_map(fresh, obs, other))
+
+
+def test_scripted_sensors_evaluate_kernel_every_map(monkeypatch):
+    # moving sensors change the blocks per t, so nothing is kept
+    session, obs, rng = _tracked_benchmark_session("scripted")
+    spec = QuerySpec(rng.uniform(0, 40, (64, 2)))
+    calls = _count_kernel_evals(monkeypatch)
+    first = predict_gain_map(session, obs, spec)
+    second = predict_gain_map(session, obs, spec)
+    assert len(calls) == 2
+    assert np.array_equal(first, second)
+    assert session.map_memo == {}
+
+
+@pytest.mark.parametrize("scenario", ["benchmark_grid", "theta2_bound"])
+def test_cell_solves_match_cho_solve(scenario):
+    # the precision products against per-group Cholesky solves; relative to
+    # each solution's largest entry, since a sum can cancel to a tiny entry
+    if scenario == "benchmark_grid":
+        session, obs, _ = _tracked_benchmark_session()
+    else:
+        session, obs = _range_bound_scenario(np.random.default_rng(22), "state")
+    v_y, v_alpha = kriging._cell_solves(session, obs)
+    assert v_y.shape == v_alpha.shape == (len(session.group_thetas), obs.n_sensors)
+    for u, (factor, _) in enumerate(session.factors_at(obs.t)):
+        for v, rhs in ((v_y[u], obs.y), (v_alpha[u], obs.alpha)):
+            ref = cho_solve((factor, True), rhs)
+            assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_predict_map_value_independent_of_query_count():
+    # three correlation-distance classes: a point's value may not depend on
+    # how many points share the call
+    rng = np.random.default_rng(23)
+    session, obs = _range_bound_scenario(rng, "state", n_sensors=30)
+    pts = rng.uniform(0, 40, (64, 2))
+    out = predict_gain_map(session, obs, QuerySpec(pts))
+    for i, q in enumerate(pts):
+        assert out[i] == predict_gain(session, obs, q)
 
 
 @pytest.mark.parametrize("scenario", ["small", "benchmark_grid"])
