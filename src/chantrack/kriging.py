@@ -16,12 +16,12 @@ For ``rho >= 1`` the observation carries no extra information beyond the
 propagated state belief, so the prediction reduces to the query's
 path-loss coefficient times the predicted path-loss exponent.
 ``predict_gain_map`` is the one prediction route; ``predict_gain`` is the
-map on one point.
+map on one point, with blocks of its own.
 
 When the sensors are static, nothing but the belief and the observation
 changes between maps, so the session keeps what the rest depends on:
 the ``(G, N, N)`` precisions, built at the first map, and, for the last
-:class:`QuerySpec` seen, the query path-loss coefficients and the
+:class:`QuerySpec` mapped, the query path-loss coefficients and the
 ``(C, Q, N)`` kernel blocks (``C Q N 8`` bytes; 0.86 MB for 3,600 points,
 30 sensors and one correlation distance).  A map is then one small
 contraction.  Moving sensors rebuild both on every call through the same
@@ -46,7 +46,7 @@ from .channel import (
 from .filtering import GridFilter
 from .markov import horizon_steps
 
-__all__ = ["QuerySpec", "kriging_mean", "gain_profile", "predict_gain", "predict_gain_map"]
+__all__ = ["QuerySpec", "kriging_mean", "predict_gain", "predict_gain_map"]
 
 
 @dataclass(frozen=True)
@@ -130,30 +130,25 @@ def _cell_solves(session: GridFilter, obs: ObservationBatch) -> tuple[np.ndarray
     return np.einsum("gnm,m->gn", precisions, obs.y), np.einsum("gnm,m->gn", precisions, obs.alpha)
 
 
-def gain_profile(session: GridFilter, obs: ObservationBatch, query) -> np.ndarray:
-    """Conditional gain mean at ``query`` evaluated at every reconstruction point."""
-    if obs.n_sensors != session.scene.n_sensors:
-        raise ValueError("observation dimension does not match the scene")
+def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec, ranges: np.ndarray):
+    """The query path-loss coefficients ``(Q,)`` and unit-power kernel blocks ``(C, Q, N)``, one per ``theta2``."""
     scene = session.scene
-    query = np.asarray(query, dtype=float)
-    alpha_q = float(point_path_loss(scene.ref_pos, query[None, :], label="query point")[0])
-    d = np.linalg.norm(scene.sensors_at(obs.t) - query, axis=-1)
-    cross = kernel_eval(d[None, :], session.group_thetas[:, None, :])
-    v_y, v_alpha = _cell_solves(session, obs)
-    s_y = np.einsum("un,un->u", cross, v_y)[session.group_index]
-    s_alpha = np.einsum("un,un->u", cross, v_alpha)[session.group_index]
-    mu = session.mus
-    return alpha_q * mu + (s_y - mu * s_alpha)
+    alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
+    d = cdist(queries.points, scene.sensors_at(obs.t))
+    return alpha_q, np.stack([kernel_eval(d, (1.0, distance)) for distance in ranges])
 
 
 def predict_gain(session: GridFilter, obs: ObservationBatch, query, rho: int | None = None) -> float:
     """Predicted gain at ``query``, ``rho`` steps past the last observation.
 
-    The gain map of :func:`predict_gain_map` on the one point ``query``;
-    ``rho`` defaults to the session's horizon.
+    The gain map of :func:`predict_gain_map` on the one point ``query``,
+    with its own one-point blocks: the session's map memo is left alone, so
+    a caller alternating points and maps keeps the map's blocks.  ``rho``
+    defaults to the session's horizon.
     """
     rho = session.rho if rho is None else rho
-    return float(predict_gain_map(session, obs, QuerySpec(np.asarray(query, dtype=float)[None, :], rho))[0])
+    spec = QuerySpec(np.asarray(query, dtype=float)[None, :], rho)
+    return float(_predict(session, obs, spec, _query_blocks)[0])
 
 
 def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QuerySpec) -> np.ndarray:
@@ -170,6 +165,15 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     ``(Q, N)`` block is reduced with ``einsum``, not a BLAS GEMV, so a
     point's value does not depend on how many points share the call.
     """
+
+    def kept_blocks(*args):
+        return _memoized(session, "queries", queries, lambda: _query_blocks(*args))
+
+    return _predict(session, obs, queries, kept_blocks)
+
+
+def _predict(session: GridFilter, obs: ObservationBatch, queries: QuerySpec, blocks) -> np.ndarray:
+    """The gain map, with ``blocks(session, obs, queries, ranges)`` giving ``alpha_q`` and the kernel blocks."""
     if obs.n_sensors != session.scene.n_sensors:
         raise ValueError("observation dimension does not match the scene")
     scene = session.scene
@@ -178,13 +182,7 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
         return alpha_q * session.estimate(queries.rho)[scene.state_map.mu_index]
     theta1, theta2 = session.group_thetas.T
     ranges, group_class = np.unique(theta2, return_inverse=True)
-
-    def query_blocks():
-        alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
-        d = cdist(queries.points, scene.sensors_at(obs.t))
-        return alpha_q, np.stack([kernel_eval(d, (1.0, distance)) for distance in ranges])
-
-    alpha_q, kernels = _memoized(session, "queries", queries, query_blocks)
+    alpha_q, kernels = blocks(session, obs, queries, ranges)
     belief = session.belief
     n_groups = len(session.group_thetas)
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)

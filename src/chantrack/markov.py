@@ -8,7 +8,10 @@ over the cells of a :class:`~chantrack.grid.GridSpec`:
 * ``estimate_transition_markovian`` re-seeds the chain at every cell center
   and quantizes one-step images (requires the transition mapping),
 * ``estimate_transition_marginal`` quantizes long trajectories of the true
-  state and counts cell-to-cell transitions (needs realizations only).
+  state and counts cell-to-cell transitions (needs realizations only).  The
+  trajectories are stepped one time step at a time but quantized once per
+  block of ``QUANTIZE_BLOCK`` steps; quantization is elementwise, so the
+  counts are bitwise those of quantizing every step on its own.
 
 Noise draws use per-cell / per-path sub-streams spawned from the caller's
 generator, so a parallel implementation over cells or paths would reproduce
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-12
+QUANTIZE_BLOCK = 1024  # time steps of the marginal estimator quantized per cell_index call
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,11 @@ def estimate_transition_marginal(
     quantizes them, and normalizes the cell-to-cell transition counts.
     Columns of never-visited cells are patched with the uniform distribution;
     their count is stored on the result and reported as a warning.
+
+    The states of all paths are written into a buffer of ``QUANTIZE_BLOCK``
+    time steps, and each full buffer is quantized by one ``cell_index`` call;
+    no state array grows with ``path_length``.  The result is bitwise the
+    one of quantizing every step on its own.
     """
     if n_paths < 1 or path_length < 2:
         raise ValueError("need n_paths >= 1 and path_length >= 2")
@@ -214,14 +223,18 @@ def estimate_transition_marginal(
         noises.append(dyn.noise_sampler(sub, path_length - 1))
     noises = np.stack(noises)
 
-    idx = np.empty((n_paths, path_length), dtype=np.int64)
-    idx[:, 0] = cell_index(grid, states)
-    for t in range(path_length - 1):
-        states = dyn.step(states, noises[:, t])
-        idx[:, t + 1] = cell_index(grid, states)
+    idx = np.empty((path_length, n_paths), dtype=np.int64)  # time-major: the pairs below are views, not copies
+    block = np.empty((min(QUANTIZE_BLOCK, path_length), n_paths, dyn.dim))
+    for t in range(path_length):
+        if t:
+            states = dyn.step(states, noises[:, t - 1])
+        k = t % len(block)
+        block[k] = states
+        if k == len(block) - 1 or t == path_length - 1:
+            idx[t - k : t + 1] = cell_index(grid, block[: k + 1])
 
     counts = np.zeros((n, n))
-    np.add.at(counts, (idx[:, 1:].ravel(), idx[:, :-1].ravel()), 1.0)
+    np.add.at(counts, (idx[1:].ravel(), idx[:-1].ravel()), 1.0)
     visits = counts.sum(axis=0)
     unvisited = visits == 0
     patched = int(unvisited.sum())
@@ -277,11 +290,13 @@ def propagate_profile(profile, matrix: np.ndarray, rho: int) -> np.ndarray:
     """``profile @ P^rho``: per-cell values (one column per cell) pushed ``rho`` steps through the chain ``P``.
 
     Computed as ``rho`` row products, never forming ``P^rho``; ``rho = 0``
-    returns the profile itself.
+    returns the profile itself.  Each product is an ``einsum``, which runs
+    single-threaded: for a few rows against a ``(C, C)`` matrix a threaded
+    BLAS GEMM spends more time waking its workers than multiplying.
     """
     out = np.asarray(profile, dtype=float)
     for _ in range(horizon_steps(rho)):
-        out = out @ matrix
+        out = np.einsum("...c,ck->...k", out, matrix)
     return out
 
 

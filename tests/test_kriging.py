@@ -20,7 +20,7 @@ from chantrack.channel import (
 from chantrack.filtering import GridFilter, brute_force_posterior
 from chantrack.grid import GridSpec
 from chantrack.harness import random_small_scenario
-from chantrack.kriging import QuerySpec, gain_profile, kriging_mean, predict_gain, predict_gain_map
+from chantrack.kriging import QuerySpec, kriging_mean, predict_gain, predict_gain_map
 from chantrack.markov import TransitionMatrix, uniform_belief
 
 
@@ -110,46 +110,6 @@ def test_kriging_mean_matches_dense_inverse_hand_scene():
     aq = point_path_loss(scene.ref_pos, q[None])[0]
     dense = aq * 2.1 + cross @ np.linalg.inv(cov) @ (obs.y - alpha * 2.1)
     assert kriging_mean(x, obs, q, scene) == pytest.approx(dense, abs=1e-12)
-
-
-def test_gain_profile_matches_pointwise_route():
-    rng = np.random.default_rng(0)
-    session, obs = make_session(rng)
-    q = np.array([12.0, 33.0])
-    profile = gain_profile(session, obs, q)
-    centers = session.X
-    for j in range(session.n_cells):
-        assert profile[j] == pytest.approx(kriging_mean(centers[:, j], obs, q, session.scene), rel=1e-10)
-
-
-def test_gain_profile_single_cell_and_constant_grid():
-    scene = make_scene([[20.0, 10.0], [30.0, 20.0]])
-    single = GridFilter(
-        GridSpec((0.0,), (4.0,), (1,)), TransitionMatrix(np.eye(1), mode="markovian"), scene, np.ones(1)
-    )
-    obs = ObservationBatch(t=0, y=[-5.0, -7.0], alpha=point_path_loss(scene.ref_pos, scene.sensors))
-    q = np.array([10.0, 10.0])
-    assert gain_profile(single, obs, q).shape == (1,)
-    assert gain_profile(single, obs, q)[0] == pytest.approx(
-        kriging_mean(single.X[:, 0], obs, q, scene), rel=1e-12
-    )
-    # cells identical in the observed coordinates -> constant profile
-    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (1, 3))
-    const = GridFilter(grid, TransitionMatrix(np.eye(3), mode="markovian"), scene, uniform_belief(3))
-    vals = gain_profile(const, obs, q)
-    assert np.all(vals == vals[0])
-
-
-def test_gain_profile_cache_transparency():
-    rng = np.random.default_rng(1)
-    grid, tm, scene, observations, prior = random_small_scenario(rng, 5, 3, 1)
-    scripted = dataclasses.replace(scene, sensors=scene.sensors[None])
-    cached = GridFilter(grid, tm, scene, prior)
-    uncached = GridFilter(grid, tm, scripted, prior)
-    q = np.array([3.0, 4.0])
-    assert np.array_equal(
-        gain_profile(cached, observations[0], q), gain_profile(uncached, observations[0], q)
-    )
 
 
 def _benchmark_grid_scenario(rng, n_obs):
@@ -314,6 +274,29 @@ def test_scripted_sensors_evaluate_kernel_every_map(monkeypatch):
     assert session.map_memo == {}
 
 
+def test_point_predictions_keep_map_blocks(monkeypatch):
+    # a one-point prediction between maps builds its own blocks, so the
+    # 3,600-point kernel block is built once however the calls alternate
+    session, obs, rng = _tracked_benchmark_session()
+    spec = QuerySpec(rng.uniform(0, 40, (3600, 2)))
+    shapes = []
+    original = kriging.kernel_eval
+
+    def counting(d, theta):
+        shapes.append(np.shape(d))
+        return original(d, theta)
+
+    monkeypatch.setattr(kriging, "kernel_eval", counting)
+    maps = []
+    for q in rng.uniform(0, 40, (3, 2)):
+        maps.append(predict_gain_map(session, obs, spec))
+        predict_gain(session, obs, q)
+        assert session.map_memo["queries"][0] is spec
+    assert shapes.count((3600, obs.n_sensors)) == 1
+    assert shapes.count((1, obs.n_sensors)) == 3
+    assert all(np.array_equal(m, maps[0]) for m in maps)
+
+
 @pytest.mark.parametrize("scenario", ["benchmark_grid", "theta2_bound"])
 def test_cell_solves_match_cho_solve(scenario):
     # the precision products against per-group Cholesky solves; relative to
@@ -351,7 +334,6 @@ def test_static_sensors_match_scripted_bitwise(scenario):
     else:
         grid, tm, scene, observations, prior = _benchmark_grid_scenario(rng, 3)
     scripted = dataclasses.replace(scene, sensors=np.repeat(scene.sensors[None], len(observations), axis=0))
-    q = np.array([11.0, 22.0])
     spec = QuerySpec(rng.uniform(0, 40, (50, 2)))
     results = []
     for sc in (scene, scripted):
@@ -359,11 +341,9 @@ def test_static_sensors_match_scripted_bitwise(scenario):
         beliefs = np.stack([r.belief for r in session.run_tracking(observations)])
         obs = observations[-1]
         factors, logdets = zip(*session.factors_at(obs.t))
-        profile = gain_profile(session, obs, q)
-        results.append((beliefs, np.array(factors), np.array(logdets), profile, predict_gain_map(session, obs, spec)))
+        results.append((beliefs, np.array(factors), np.array(logdets), predict_gain_map(session, obs, spec)))
     for a, b in zip(*results):
         assert np.array_equal(a, b)
-    assert profile.shape == (grid.n_cells,)
 
 
 def test_mobile_sensors_match_oracle():

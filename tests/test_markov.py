@@ -1,8 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import chantrack.markov as markov
 from chantrack.grid import GridSpec, cell_center, cell_index, reconstruction_matrix
 from chantrack.markov import (
+    QUANTIZE_BLOCK,
     StateDynamics,
     TransitionMatrix,
     coupled_tanh_dynamics,
@@ -127,6 +132,69 @@ def test_marginal_bench_dynamics_runs():
     assert 0.0 < visited_fraction < 1.0
 
 
+def _per_step_marginal(dyn, grid, n_paths, path_length, rng):
+    """The marginal estimator quantizing every time step on its own."""
+    rng = np.random.default_rng(rng)
+    states = np.empty((n_paths, dyn.dim))
+    noises = []
+    for p, sub in enumerate(rng.spawn(n_paths)):
+        states[p] = dyn.initial_state(sub)
+        noises.append(dyn.noise_sampler(sub, path_length - 1))
+    noises = np.stack(noises)
+    idx = np.empty((n_paths, path_length), dtype=np.int64)
+    idx[:, 0] = cell_index(grid, states)
+    for t in range(path_length - 1):
+        states = dyn.step(states, noises[:, t])
+        idx[:, t + 1] = cell_index(grid, states)
+    n = grid.n_cells
+    counts = np.zeros((n, n))
+    np.add.at(counts, (idx[:, 1:].ravel(), idx[:, :-1].ravel()), 1.0)
+    unvisited = counts.sum(axis=0) == 0
+    patched = int(unvisited.sum())
+    counts[:, unvisited] = 1.0
+    return counts / counts.sum(axis=0), patched
+
+
+def _marginal_edge_case(kind):
+    if kind == "coupled_tanh":
+        return coupled_tanh_dynamics(), GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30)), 7
+    grid = GridSpec((0.0,), (1.0,), (5,))
+    cols = np.random.default_rng(30).random((5, 5)) + 0.05
+    points = [cell_center(grid, l) for l in range(5)]
+    return finite_chain_dynamics(points, cols / cols.sum(axis=0), initial_index=2), grid, 3
+
+
+@pytest.mark.parametrize("kind", ["coupled_tanh", "finite_chain"])
+@pytest.mark.parametrize(
+    "path_length", [2, QUANTIZE_BLOCK - 1, QUANTIZE_BLOCK, QUANTIZE_BLOCK + 1, 2 * QUANTIZE_BLOCK + 3]
+)
+def test_marginal_blocks_match_per_step_quantization(monkeypatch, kind, path_length):
+    # quantizing once per block of steps gives bitwise the per-step result
+    dyn, grid, n_paths = _marginal_edge_case(kind)
+    expected, patched = _per_step_marginal(dyn, grid, n_paths, path_length, rng=31)
+    calls = []
+    original = markov.cell_index
+
+    def counting(grid_, x):
+        calls.append(np.shape(x))
+        return original(grid_, x)
+
+    monkeypatch.setattr(markov, "cell_index", counting)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tm = estimate_transition_marginal(dyn, grid, n_paths=n_paths, path_length=path_length, rng=31)
+    assert np.array_equal(tm.matrix, expected)
+    assert tm.patched_columns == patched
+    messages = [str(w.message) for w in caught]
+    if patched:
+        assert messages == [
+            f"marginal estimation left {patched}/{grid.n_cells} cells unvisited; their columns were patched uniform"
+        ]
+    else:
+        assert messages == []
+    assert len(calls) <= math.ceil(path_length / QUANTIZE_BLOCK) + 1
+
+
 def test_initial_belief_deterministic_is_one_hot():
     grid = GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30))
     dyn = coupled_tanh_dynamics(initial=(2.0, 25.3))
@@ -160,6 +228,18 @@ def test_propagate_profile():
     assert propagate_profile([0.25, 0.75], FLIP, 2) == pytest.approx([0.46, 0.54], abs=1e-12)
     with pytest.raises(ValueError):
         propagate_profile(np.eye(2), FLIP, -1)
+
+
+@pytest.mark.parametrize("rho", [1, 2, 5])
+def test_propagate_profile_matches_matrix_power(rho):
+    rng = np.random.default_rng(32)
+    cols = rng.random((900, 900))
+    P = cols / cols.sum(axis=0)
+    power = np.linalg.matrix_power(P, rho)
+    for profile in (rng.uniform(0.0, 30.0, 900), rng.uniform(0.0, 30.0, (2, 900))):
+        out = propagate_profile(profile, P, rho)
+        assert out.shape == profile.shape
+        assert np.max(np.abs(out - profile @ power)) <= 1e-12
 
 
 def test_simulate_trajectory_identity_constant():
