@@ -111,9 +111,21 @@ def _cmd_transition(args) -> int:
     return 0
 
 
+def _load_transition_arg(cfg, path):
+    """The ``--transition`` file; a missing or malformed one, or one for another grid, is a ``ConfigError``."""
+    try:
+        tm = load_transition(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"--transition: {e}") from e
+    n_cells = build_grid(cfg).n_cells
+    if tm.n_cells != n_cells:
+        raise ConfigError(f"--transition: {tm.n_cells} cells, but the grid has {n_cells}")
+    return tm
+
+
 def _cmd_track(args) -> int:
     cfg = _require_out_dir(_resolve_config(args))
-    tm = load_transition(args.transition)
+    tm = _load_transition_arg(cfg, args.transition)
     metrics = run_experiment(cfg, transition=tm, write_maps=False)
     rmse = ", ".join(f"x{i + 1}={v:.4f}" for i, v in enumerate(metrics.rmse_state))
     print(f"tracked {len(metrics.timesteps)} steps; state RMSE: {rmse}; resets: {metrics.resets}")
@@ -123,7 +135,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_predict_map(args) -> int:
     cfg = _require_out_dir(_resolve_config(args))
-    tm = load_transition(args.transition)
+    tm = _load_transition_arg(cfg, args.transition)
     metrics = run_experiment(cfg, transition=tm, write_trace=False)
     if not metrics.rmse_map:
         print("no map snapshots configured; nothing to write", file=sys.stderr)

@@ -3,9 +3,9 @@
 The filter maintains a normalized belief ``b`` over grid cells.  Each
 update multiplies the belief by the transition matrix ``P``, weights it by
 the per-cell Gaussian observation likelihood and renormalizes.  The state
-estimate ``rho`` steps ahead is ``X P^rho b``, with ``X`` the matrix of cell
-centers; the ``(d, C)`` matrix ``X P^rho`` is built once per session from
-``rho`` row products.  Per-update work does not grow with time.
+estimate is ``X P^rho b`` at the session's one horizon ``rho``, with ``X`` the
+matrix of cell centers; the ``(d, C)`` matrix ``X P^rho`` is built once per
+session from ``rho`` row products.  Per-update work does not grow with time.
 
 Cells whose kernel parameters coincide share a single observation-covariance
 factorization; the factors are built once when the sensors are static.
@@ -80,7 +80,7 @@ class GridFilter:
         belief = np.asarray(initial_belief, dtype=float).copy()
         if belief.shape != (grid.n_cells,):
             raise ValueError("initial belief length must equal the cell count")
-        if np.any(belief < 0.0) or abs(belief.sum() - 1.0) > SIMPLEX_TOL:
+        if not (np.all(belief >= 0.0) and abs(belief.sum() - 1.0) <= SIMPLEX_TOL):
             raise ValueError("initial belief must be a probability vector")
 
         self.grid = grid
@@ -91,8 +91,6 @@ class GridFilter:
         self.P = transition.matrix
         self.X_rho = propagate_profile(self.X, self.P, rho)
         self.belief = belief
-        self.initial_belief = belief.copy()
-        self.t = -1
         self.reset_events: list[int] = []
 
         self.mus = self.X[scene.state_map.mu_index]
@@ -159,13 +157,11 @@ class GridFilter:
         if abs(belief.sum() - 1.0) > SIMPLEX_TOL:
             belief = belief / belief.sum()
         self.belief = belief
-        self.t = obs.t
         return belief.copy()
 
-    def estimate(self, rho: int | None = None) -> np.ndarray:
-        """State estimate ``X P^rho b``, ``rho`` (default: the session's horizon) steps past the last observation."""
-        X_rho = self.X_rho if rho is None or horizon_steps(rho) == self.rho else propagate_profile(self.X, self.P, rho)
-        return X_rho @ self.belief
+    def estimate(self) -> np.ndarray:
+        """State estimate ``X P^rho b``, the session's horizon ``rho`` steps past the last observation."""
+        return self.X_rho @ self.belief
 
     def run_tracking(self, observations: Sequence[ObservationBatch], on_record=None) -> list[TrackRecord]:
         """Process time-ordered observations; one record per observation.

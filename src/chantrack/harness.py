@@ -110,6 +110,7 @@ def _convert(value, path: str, kind, depth: int = 0):
 
     No JSON type is coerced into another (a string is not a number or a
     list, a bool is not a number), except that an integer reads as a float.
+    A float must be finite: ``json.load`` reads ``NaN`` and ``Infinity``.
     """
     if depth:
         if not isinstance(value, (list, tuple)):
@@ -119,7 +120,13 @@ def _convert(value, path: str, kind, depth: int = 0):
         return kind(value, path)
     if isinstance(value, bool) or not isinstance(value, _SCALARS[kind]):
         raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        out = kind(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = np.inf
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return out
 
 
 def _read(data, path: str, fields: dict, required=()) -> dict:
@@ -290,6 +297,8 @@ class ScenarioConfig:
                 raise ConfigError("dynamics.points must be rows of grid-dimensional states")
             if mat.shape != (len(pts), len(pts)):
                 raise ConfigError("dynamics.matrix must be square over dynamics.points")
+            if np.any(mat < 0.0):
+                raise ConfigError("dynamics.matrix entries must be >= 0")
             if np.max(np.abs(mat.sum(axis=0) - 1.0)) > 1e-9:
                 raise ConfigError("dynamics.matrix columns must sum to 1")
             if not 0 <= d.initial_index < len(pts):
@@ -564,8 +573,10 @@ def run_experiment(
     """
     cfg.validate()
     runtime_s: dict[str, float] = {}
-    # Stream layout: one child per consumer, in this fixed order.
-    sensor_ss, transition_ss, initial_ss, truth_ss, obs_ss = np.random.SeedSequence(cfg.seed).spawn(5)
+    # Stream layout: one child per consumer, in this fixed order.  Slot 2 is
+    # unused, since the initial state is fixed; it is still spawned so that
+    # the truth and observation streams keep their seeds.
+    sensor_ss, transition_ss, _, truth_ss, obs_ss = np.random.SeedSequence(cfg.seed).spawn(5)
 
     with _phase(runtime_s, "setup"):
         grid = build_grid(cfg)
@@ -601,7 +612,7 @@ def run_experiment(
 
     pred_maps: dict[int, np.ndarray] = {}
     snapshot_set = set(cfg.map_snapshots)
-    spec = QuerySpec(queries, rho=rho) if snapshot_set else None
+    spec = QuerySpec(queries) if snapshot_set else None
 
     def snapshot_maps(session_, obs_, record_):
         if obs_.t in snapshot_set:
@@ -610,7 +621,7 @@ def run_experiment(
 
     runtime_s["predict"] = 0.0
     with _phase(runtime_s, "track"):
-        prior = initial_belief(dyn, grid, rng=np.random.default_rng(initial_ss))
+        prior = initial_belief(dyn, grid)
         session = GridFilter(grid, transition, scene, prior, rho=rho)
         records = session.run_tracking(observations, on_record=snapshot_maps)
     runtime_s["track"] -= runtime_s["predict"]  # the predict phase runs nested inside track
@@ -673,13 +684,13 @@ def prior_baseline(cfg: ScenarioConfig, transition: TransitionMatrix | None = No
     as ``run_experiment``, so a paired run shares the transition matrix.
     """
     cfg.validate()
-    _, transition_ss, initial_ss, _, _ = np.random.SeedSequence(cfg.seed).spawn(5)
+    _, transition_ss, *_ = np.random.SeedSequence(cfg.seed).spawn(5)
     grid = build_grid(cfg)
     dyn = build_dynamics(cfg)
     if transition is None:
         transition = estimate_transition(cfg, dyn, grid, np.random.default_rng(transition_ss))
     X_rho = propagate_profile(reconstruction_matrix(grid), transition.matrix, cfg.horizon)
-    belief = initial_belief(dyn, grid, rng=np.random.default_rng(initial_ss))
+    belief = initial_belief(dyn, grid)
     if cfg.timesteps == 0:
         return (X_rho @ belief)[None, :]
     out = np.empty((cfg.timesteps, grid.ndim))
@@ -709,7 +720,7 @@ def l_sweep(cfg: ScenarioConfig, L_values, n_seeds: int = 20) -> list[tuple[int,
         grid_l = GridSpec(cfg.grid.lower, cfg.grid.upper, (L,) * len(cfg.grid.cells))
         grids[L] = grid_l
         transitions[L] = estimate_transition(cfg, dyn, grid_l, np.random.default_rng(sub))
-        priors[L] = initial_belief(dyn, grid_l, rng=np.random.default_rng(sub))
+        priors[L] = initial_belief(dyn, grid_l)
 
     errors = {L: [] for L in L_values}
     T, rho = cfg.timesteps, cfg.horizon

@@ -12,9 +12,9 @@ The kernel ``theta1 exp(-d / theta2)`` is linear in the shadowing power, so
 the groups that share a correlation distance form one class ``c`` and
 ``pred(q) = alpha_q E[mu] + sum_c K_c(q) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
 with the unit-power kernel blocks ``K_c = k(q, sensors; 1, theta2_c)``.
-For ``rho >= 1`` the observation carries no extra information beyond the
-propagated state belief, so the prediction reduces to the query's
-path-loss coefficient times the predicted path-loss exponent.
+At a session horizon ``rho >= 1`` the observation carries no extra
+information beyond the propagated state belief, so the prediction reduces
+to the query's path-loss coefficient times the predicted path-loss exponent.
 ``predict_gain_map`` is the one prediction route; ``predict_gain`` is the
 map on one point, with blocks of its own.
 
@@ -44,21 +44,19 @@ from .channel import (
     point_path_loss,
 )
 from .filtering import GridFilter
-from .markov import horizon_steps
 
 __all__ = ["QuerySpec", "kriging_mean", "predict_gain", "predict_gain_map"]
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A batch of spatial query points and the prediction horizon.
+    """A batch of spatial query points; the horizon is the session's.
 
     ``points`` is a read-only copy of the caller's array, so a map memo keyed
     on the spec cannot go stale.
     """
 
     points: np.ndarray
-    rho: int = 0
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -68,7 +66,6 @@ class QuerySpec:
             raise ValueError("query points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "rho", horizon_steps(self.rho))
 
     @property
     def n_points(self) -> int:
@@ -138,21 +135,19 @@ def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec
     return alpha_q, np.stack([kernel_eval(d, (1.0, distance)) for distance in ranges])
 
 
-def predict_gain(session: GridFilter, obs: ObservationBatch, query, rho: int | None = None) -> float:
-    """Predicted gain at ``query``, ``rho`` steps past the last observation.
+def predict_gain(session: GridFilter, obs: ObservationBatch, query) -> float:
+    """Predicted gain at ``query``, the session's horizon past the last observation.
 
     The gain map of :func:`predict_gain_map` on the one point ``query``,
     with its own one-point blocks: the session's map memo is left alone, so
-    a caller alternating points and maps keeps the map's blocks.  ``rho``
-    defaults to the session's horizon.
+    a caller alternating points and maps keeps the map's blocks.
     """
-    rho = session.rho if rho is None else rho
-    spec = QuerySpec(np.asarray(query, dtype=float)[None, :], rho)
+    spec = QuerySpec(np.asarray(query, dtype=float)[None, :])
     return float(_predict(session, obs, spec, _query_blocks)[0])
 
 
 def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QuerySpec) -> np.ndarray:
-    """Predicted gain at every query point of a :class:`QuerySpec`.
+    """Predicted gain at every query point of a :class:`QuerySpec`, at the session's horizon.
 
     For ``rho = 0``,
     ``alpha_q (mus @ belief) + sum_c K_c(q) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
@@ -177,9 +172,9 @@ def _predict(session: GridFilter, obs: ObservationBatch, queries: QuerySpec, blo
     if obs.n_sensors != session.scene.n_sensors:
         raise ValueError("observation dimension does not match the scene")
     scene = session.scene
-    if queries.rho:
+    if session.rho:
         alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
-        return alpha_q * session.estimate(queries.rho)[scene.state_map.mu_index]
+        return alpha_q * session.estimate()[scene.state_map.mu_index]
     theta1, theta2 = session.group_thetas.T
     ranges, group_class = np.unique(theta2, return_inverse=True)
     alpha_q, kernels = blocks(session, obs, queries, ranges)

@@ -1,7 +1,7 @@
 """Hidden-state dynamics and Monte-Carlo estimation of quantized transition matrices.
 
 A :class:`StateDynamics` bundles a stationary transition mapping
-``x_next = step(x, w)`` with white driving noise and an initial law.  Two
+``x_next = step(x, w)`` with white driving noise and a fixed initial state.  Two
 estimators turn such dynamics into a column-stochastic transition matrix
 over the cells of a :class:`~chantrack.grid.GridSpec`:
 
@@ -51,30 +51,22 @@ QUANTIZE_BLOCK = 1024  # time steps of the marginal estimator quantized per cell
 
 @dataclass(frozen=True)
 class StateDynamics:
-    """Stationary Markov dynamics ``x_next = step(x, w)`` with white noise.
+    """Stationary Markov dynamics ``x_next = step(x, w)`` with white noise from a known initial state.
 
     ``step`` must be a pure function, deterministic given ``(x, w)`` and
     vectorized over leading axes: it receives states of shape ``(..., dim)``
     together with noise draws of shape ``(...)`` (or ``(..., noise_dim)``)
     and returns states of shape ``(..., dim)``.  ``noise_sampler(rng, size)``
-    draws i.i.d. noise with that shape convention.  ``initial`` is either a
-    fixed state vector or a sampler ``rng -> state``.
+    draws i.i.d. noise with that shape convention.  ``initial`` is the fixed
+    state vector the chain starts from.
     """
 
     dim: int
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_sampler: Callable[[np.random.Generator, Union[int, tuple]], np.ndarray]
-    initial: Union[np.ndarray, Callable[[np.random.Generator], np.ndarray]]
+    initial: np.ndarray
 
-    @property
-    def deterministic_initial(self) -> bool:
-        return not callable(self.initial)
-
-    def initial_state(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        if callable(self.initial):
-            if rng is None:
-                raise ValueError("random initial law requires an rng")
-            return np.asarray(self.initial(rng), dtype=float)
+    def initial_state(self) -> np.ndarray:
         return np.asarray(self.initial, dtype=float).copy()
 
 
@@ -96,7 +88,7 @@ class TransitionMatrix:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
         if self.mode not in ("markovian", "marginal"):
             raise ValueError(f"unknown quantization mode {self.mode!r}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if not (m.min() >= 0.0 and m.max() <= 1.0):  # a NaN entry fails both; no (C, C) temporaries
             raise ValueError("transition entries must lie in [0, 1]")
         colsum_err = np.max(np.abs(m.sum(axis=0) - 1.0))
         if colsum_err > COLUMN_SUM_TOL:
@@ -147,6 +139,8 @@ def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynami
     p = np.asarray(matrix, dtype=float)
     if p.shape != (len(pts), len(pts)):
         raise ValueError("matrix shape must match the number of points")
+    if not np.all(p >= 0.0):
+        raise ValueError("matrix entries must be >= 0")
     if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
         raise ValueError("matrix columns must sum to 1")
     cdf_rows = np.cumsum(p, axis=0).T  # row j = CDF of the jump law out of state j
@@ -202,10 +196,10 @@ def estimate_transition_marginal(
 ) -> TransitionMatrix:
     """Estimate the transition matrix of the quantized true-state trajectory.
 
-    Simulates ``n_paths`` independent trajectories of ``path_length`` states,
-    quantizes them, and normalizes the cell-to-cell transition counts.
-    Columns of never-visited cells are patched with the uniform distribution;
-    their count is stored on the result and reported as a warning.
+    Simulates ``n_paths`` trajectories of ``path_length`` states from the
+    initial state, quantizes them, and normalizes the cell-to-cell transition
+    counts.  Columns of never-visited cells are patched with the uniform
+    distribution; their count is stored on the result and reported as a warning.
 
     The states of all paths are written into a buffer of ``QUANTIZE_BLOCK``
     time steps, and each full buffer is quantized by one ``cell_index`` call;
@@ -216,12 +210,8 @@ def estimate_transition_marginal(
         raise ValueError("need n_paths >= 1 and path_length >= 2")
     rng = as_rng(rng)
     n = grid.n_cells
-    states = np.empty((n_paths, dyn.dim))
-    noises = []
-    for p, sub in enumerate(rng.spawn(n_paths)):
-        states[p] = dyn.initial_state(sub)
-        noises.append(dyn.noise_sampler(sub, path_length - 1))
-    noises = np.stack(noises)
+    states = np.tile(dyn.initial_state(), (n_paths, 1))
+    noises = np.stack([dyn.noise_sampler(sub, path_length - 1) for sub in rng.spawn(n_paths)])
 
     idx = np.empty((path_length, n_paths), dtype=np.int64)  # time-major: the pairs below are views, not copies
     block = np.empty((min(QUANTIZE_BLOCK, path_length), n_paths, dyn.dim))
@@ -258,21 +248,9 @@ def uniform_belief(n_cells: int) -> np.ndarray:
     return np.full(n_cells, 1.0 / n_cells)
 
 
-def initial_belief(dyn: StateDynamics, grid: GridSpec, n_samples: int = 10_000, rng=None) -> np.ndarray:
-    """Belief over cells induced by the initial law of the dynamics.
-
-    A deterministic initial state yields an exact one-hot vector; otherwise
-    the belief is the empirical mean of one-hot embeddings of ``n_samples``
-    sampled initial states.
-    """
-    if dyn.deterministic_initial:
-        return one_hot_belief(grid.n_cells, cell_index(grid, dyn.initial_state()))
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = as_rng(rng)
-    draws = np.stack([dyn.initial_state(rng) for _ in range(n_samples)])
-    counts = np.bincount(cell_index(grid, draws), minlength=grid.n_cells)
-    return counts / n_samples
+def initial_belief(dyn: StateDynamics, grid: GridSpec) -> np.ndarray:
+    """The one-hot belief on the cell of the initial state of the dynamics."""
+    return one_hot_belief(grid.n_cells, cell_index(grid, dyn.initial_state()))
 
 
 def horizon_steps(rho) -> int:
@@ -310,7 +288,7 @@ def simulate_trajectory(dyn: StateDynamics, T: int, rng=None) -> np.ndarray:
         raise ValueError("T must be >= 0")
     rng = as_rng(rng)
     out = np.empty((T + 1, dyn.dim))
-    x = dyn.initial_state(rng)
+    x = dyn.initial_state()
     out[0] = x
     if T:
         w = dyn.noise_sampler(rng, T)

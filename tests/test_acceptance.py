@@ -122,7 +122,7 @@ def test_criterion_3_predictor_consistency():
             session.run_tracking(observations[:-1])
             q = rng.uniform(0.0, 40.0, 2)
             aq = point_path_loss(scene.ref_pos, q[None])[0]
-            lhs = predict_gain(session, observations[-1], q, rho=rho)
+            lhs = predict_gain(session, observations[-1], q)
             rhs = aq * session.estimate()[scene.state_map.mu_index]
             exact = exact and (lhs == rhs)
             sessions += 1
@@ -204,7 +204,7 @@ def test_criterion_6_benchmark_reproduction(tmp_path):
     baseline = prior_baseline(study, transition)
 
     filter_rmse, baseline_rmse, map_rmse = [], [], []
-    spec = QuerySpec(queries, rho=0)
+    spec = QuerySpec(queries)
     for ss in np.random.SeedSequence(60_001).spawn(20):
         sensor_ss, truth_ss, obs_ss = ss.spawn(3)
         scene = build_scene(study, np.random.default_rng(sensor_ss))

@@ -1,15 +1,18 @@
 import copy
 import json
+import struct
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chantrack.cli import main
-from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict
+from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict, save_transition
+from chantrack.markov import TransitionMatrix
 
 SMALL_CONFIG = {
     "grid": {"lower": [0.0, 25.0], "upper": [4.0, 25.6], "cells": [5, 5]},
@@ -89,6 +92,95 @@ def test_track_reports_patched_columns_of_saved_transition(tmp_path, capsys):
     v1.write_bytes(b"CGRIDP1\x00" + blob[8:16] + blob[24:])
     assert main(argv + [str(v1)]) == 0
     assert json.loads((out / "metrics.json").read_text())["patched_columns"] is None
+
+
+def _transition_fault(blob: bytes, fault: str) -> bytes:
+    """A saved transition file with one fault; ``blob`` is a valid one."""
+    if fault == "bad_magic":
+        return b"NOTAGRID" + blob[8:]
+    if fault == "wrong_length":
+        return blob[:-8]
+    return blob[:24] + struct.pack("<d", float("nan")) + blob[32:]  # nan_entry
+
+
+@pytest.mark.parametrize("command", ["track", "predict-map"])
+@pytest.mark.parametrize("fault", ["missing", "bad_magic", "wrong_length", "nan_entry", "other_grid"])
+def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, command, fault):
+    # a missing or malformed file, or one for another grid, is a config error: no crash, no run on a bad matrix
+    out = tmp_path / "artifacts"
+    assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.bin"
+    if fault == "other_grid":
+        save_transition(bad, TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), mode="markovian"))
+    elif fault != "missing":
+        bad.write_bytes(_transition_fault((out / "transition.bin").read_bytes(), fault))
+    argv = [command, "--config", str(config_path), "--out", str(out), "--transition", str(bad)]
+    assert main(argv) == 2
+    assert "--transition" in capsys.readouterr().err
+
+
+def _numeric_leaves(node, path=""):
+    """The dotted path of every numeric leaf of a JSON tree, as config errors name it."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() for leaf in _numeric_leaves(value, f"{path}.{key}".lstrip("."))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node) for leaf in _numeric_leaves(value, f"{path}[{i}]")]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def _set_leaf(cfg, path: str, value):
+    keys = [int(k) if k.isdigit() else k for k in path.replace("[", ".").replace("]", "").split(".")]
+    holder = cfg
+    for key in keys[:-1]:
+        holder = holder[key]
+    holder[keys[-1]] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("leaf", _numeric_leaves(SMALL_CONFIG))
+def test_non_finite_number_is_config_error(tmp_path, capsys, leaf, value):
+    # json.load reads NaN and Infinity; no such number may reach the pipeline
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    _set_leaf(cfg, leaf, value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert leaf in capsys.readouterr().err
+
+
+_CHAIN = {"kind": "finite_chain", "points": [[1.0, 25.1], [3.0, 25.5]], "matrix": [[0.7, 0.3], [0.3, 0.7]]}
+
+
+@pytest.mark.parametrize(
+    "dynamics, named",
+    [
+        ({"kind": "coupled_tanh", "gamma": float("nan")}, "dynamics.gamma"),
+        ({"kind": "coupled_tanh", "gamma": float("inf")}, "dynamics.gamma"),
+        ({"kind": "coupled_tanh", "initial_state": [float("nan"), 25.3]}, "dynamics.initial_state[0]"),
+        (dict(_CHAIN, points=[[float("nan"), 25.1], [3.0, 25.5]]), "dynamics.points[0][0]"),
+        (dict(_CHAIN, matrix=[[0.7, float("nan")], [0.3, 0.7]]), "dynamics.matrix[0][1]"),
+        (dict(_CHAIN, matrix=[[1.5, 0.3], [-0.5, 0.7]]), "dynamics.matrix"),  # columns sum to 1
+        (dict(_CHAIN, matrix=[[0.7, -0.3], [0.3, 1.3]]), "dynamics.matrix"),
+        ({"kind": "coupled_tanh", "gamma": 10**400}, "dynamics.gamma"),  # an integer beyond the float range
+    ],
+)
+def test_malformed_dynamics_numbers_are_config_errors(tmp_path, capsys, dynamics, named):
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    cfg["dynamics"] = dynamics
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_finite_chain_config_runs(tmp_path):
+    # the valid chain the rows above break, so each row tests only its fault
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    cfg["dynamics"] = _CHAIN
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -160,18 +160,26 @@ def test_estimate_stays_in_box():
 
 
 def test_estimate_matches_matrix_power():
-    # reference: X P^rho b with the dense matrix power, for the session's horizon and for others
+    # reference: X P^rho b with the dense matrix power, one session per horizon
     rng = np.random.default_rng(3)
     grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 2, 3)
-    for session_rho in (0, 2):
-        session = GridFilter(grid, tm, scene, prior, rho=session_rho)
+    for rho in (0, 1, 2, 5):
+        session = GridFilter(grid, tm, scene, prior, rho=rho)
         session.run_tracking(observations)
-        for rho in (1, 2, 5):
-            expected = session.X @ np.linalg.matrix_power(tm.matrix, rho) @ session.belief
-            assert np.max(np.abs(session.estimate(rho) - expected)) <= 1e-12
-        assert np.array_equal(session.estimate(0), session.X @ session.belief)
+        expected = session.X @ np.linalg.matrix_power(tm.matrix, rho) @ session.belief
+        assert np.max(np.abs(session.estimate() - expected)) <= 1e-12
+        if rho == 0:
+            assert np.array_equal(session.estimate(), session.X @ session.belief)
     with pytest.raises(ValueError, match="rho"):
-        session.estimate(-1)
+        GridFilter(grid, tm, scene, prior, rho=-1)
+
+
+@pytest.mark.parametrize("belief", [[np.nan, 1.0], [0.5, np.nan], [-0.5, 1.5], [0.4, 0.4]])
+def test_initial_belief_must_be_probability_vector(belief):
+    grid = GridSpec((0.0,), (1.0,), (2,))
+    tm = TransitionMatrix(FLIP, mode="markovian")
+    with pytest.raises(ValueError, match="probability vector"):
+        GridFilter(grid, tm, const_theta_scene([[26.0, 10.0]]), np.array(belief))
 
 
 def test_run_tracking_empty_returns_prior_record():

@@ -45,8 +45,6 @@ def test_query_spec_validation():
         QuerySpec(np.empty((0, 2)))
     with pytest.raises(ValueError):
         QuerySpec(np.array([[np.inf, 0.0]]))
-    with pytest.raises(ValueError):
-        QuerySpec(np.array([[1.0, 2.0]]), rho=-1)
 
 
 def test_query_spec_points_are_read_only_copy():
@@ -69,15 +67,6 @@ def test_non_integer_horizon_rejected(rho):
     grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 3, 2)
     with pytest.raises(ValueError, match="rho"):
         GridFilter(grid, tm, scene, prior, rho=rho)
-    session = GridFilter(grid, tm, scene, prior, rho=2)
-    session.run_tracking(observations)
-    with pytest.raises(ValueError, match="rho"):
-        session.estimate(rho)
-    pts = rng.uniform(0, 40, (3, 2))
-    with pytest.raises(ValueError, match="rho"):
-        QuerySpec(pts, rho=rho)
-    with pytest.raises(ValueError, match="rho"):
-        predict_gain(session, observations[-1], pts[0], rho=rho)
 
 
 def test_kriging_mean_prior_collapse_without_shadowing():
@@ -406,7 +395,7 @@ def test_predict_future_horizon_consistency_bitwise():
             q = rng.uniform(0, 40, 2)
             aq = point_path_loss(session.scene.ref_pos, q[None])[0]
             expected = aq * session.estimate()[session.scene.state_map.mu_index]
-            assert predict_gain(session, obs, q, rho=rho) == expected
+            assert predict_gain(session, obs, q) == expected
 
 
 def test_predict_future_ignores_observation():
@@ -414,7 +403,7 @@ def test_predict_future_ignores_observation():
     session, obs = make_session(rng, rho=2)
     other = ObservationBatch(t=obs.t, y=obs.y + 5.0, alpha=obs.alpha)
     q = np.array([14.0, 2.0])
-    assert predict_gain(session, obs, q, rho=2) == predict_gain(session, other, q, rho=2)
+    assert predict_gain(session, obs, q) == predict_gain(session, other, q)
 
 
 def test_predict_affine_in_observations():
@@ -465,7 +454,7 @@ def test_predict_map_future_horizon():
     rng = np.random.default_rng(9)
     session, obs = make_session(rng, rho=2)
     pts = rng.uniform(0, 40, (4, 2))
-    out = predict_gain_map(session, obs, QuerySpec(pts, rho=2))
+    out = predict_gain_map(session, obs, QuerySpec(pts))
     aq = point_path_loss(session.scene.ref_pos, pts)
     assert np.array_equal(out, aq * session.estimate()[0])
 

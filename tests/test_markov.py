@@ -42,6 +42,20 @@ def test_transition_matrix_validation():
     assert tm.n_cells == 2
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_transition_matrix_rejects_non_finite_entry(entry):
+    m = FLIP.copy()
+    m[0, 1] = entry
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TransitionMatrix(m, mode="markovian")
+
+
+def test_finite_chain_rejects_negative_entries():
+    # columns that sum to 1 are not enough
+    with pytest.raises(ValueError, match=">= 0"):
+        finite_chain_dynamics([[0.0], [1.0]], [[1.5, 0.0], [-0.5, 1.0]])
+
+
 def test_markovian_identity_dynamics_gives_identity():
     grid = GridSpec((0.0,), (1.0,), (4,))
     tm = estimate_transition_markovian(identity_dynamics(), grid, samples_per_cell=50, rng=0)
@@ -138,7 +152,7 @@ def _per_step_marginal(dyn, grid, n_paths, path_length, rng):
     states = np.empty((n_paths, dyn.dim))
     noises = []
     for p, sub in enumerate(rng.spawn(n_paths)):
-        states[p] = dyn.initial_state(sub)
+        states[p] = dyn.initial_state()
         noises.append(dyn.noise_sampler(sub, path_length - 1))
     noises = np.stack(noises)
     idx = np.empty((n_paths, path_length), dtype=np.int64)
@@ -201,20 +215,6 @@ def test_initial_belief_deterministic_is_one_hot():
     b = initial_belief(dyn, grid)
     k = cell_index(grid, np.array([2.0, 25.3]))
     assert b[k] == 1.0 and b.sum() == 1.0
-
-
-def test_initial_belief_uniform_sampler():
-    grid = GridSpec((0.0,), (1.0,), (4,))
-    dyn = StateDynamics(
-        dim=1,
-        step=lambda x, w: np.asarray(x, dtype=float),
-        noise_sampler=lambda rng, size: rng.standard_normal(size),
-        initial=lambda rng: rng.uniform(0.0, 1.0, size=1),
-    )
-    n = 10_000
-    b = initial_belief(dyn, grid, n_samples=n, rng=6)
-    assert abs(b.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(b - 0.25)) <= 3 / np.sqrt(n * 4)
 
 
 def test_propagate_profile():
