@@ -148,10 +148,12 @@ class ChannelScene:
     state_map: StateToChannelMap
 
     def __post_init__(self):
-        ref = np.asarray(self.ref_pos, dtype=float).reshape(2)
+        ref = np.asarray(self.ref_pos, dtype=float)
+        if ref.shape != (2,):
+            raise ValueError(f"ref_pos must have shape (2,), got {ref.shape}")
         sens = np.asarray(self.sensors, dtype=float)
-        if sens.ndim not in (2, 3) or sens.shape[-1] != 2:
-            raise ValueError(f"sensors must have shape (N, 2) or (T, N, 2), got {sens.shape}")
+        if sens.ndim not in (2, 3) or sens.shape[-1] != 2 or sens.shape[-2] == 0:
+            raise ValueError(f"sensors must have shape (N, 2) or (T, N, 2) with N >= 1, got {sens.shape}")
         if not np.all(np.isfinite(sens)) or not np.all(np.isfinite(ref)):
             raise ValueError("positions must be finite")
         if not 0.0 <= self.sigma_xi_sq < np.inf:

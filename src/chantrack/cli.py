@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .harness import (
     ConfigError,
     PhaseFailure,
     benchmark_config,
-    build_dynamics,
+    build,
     build_grid,
     config_from_json,
     estimate_transition,
@@ -33,6 +34,7 @@ from .harness import (
     oracle_check,
     run_experiment,
     save_transition,
+    streams,
 )
 
 __all__ = ["main", "entry"]
@@ -97,12 +99,8 @@ def _require_out_dir(cfg):
 
 def _cmd_transition(args) -> int:
     cfg = _require_out_dir(_resolve_config(args))
-    grid = build_grid(cfg)
-    dyn = build_dynamics(cfg)
-    _, transition_ss, *_ = np.random.SeedSequence(cfg.seed).spawn(5)
-    tm = estimate_transition(cfg, dyn, grid, np.random.default_rng(transition_ss))
-    from pathlib import Path
-
+    grid, dyn, _, _ = build(cfg)
+    tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "transition.bin"

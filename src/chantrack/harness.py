@@ -1,9 +1,11 @@
 """Scenario configuration, the bundled benchmark experiment, metrics and file IO.
 
 A scenario is described by a single hierarchical JSON document (all fields
-snake_case, unknown fields rejected).  ``run_experiment`` drives the whole
-pipeline: simulate the hidden state and its observations, estimate the
-transition matrix offline, run the tracking filter, predict gain maps at
+snake_case, unknown fields rejected); it is valid exactly when ``build``
+can construct the objects a run uses from it.  ``streams`` owns the seed
+layout and ``simulate`` draws the truth and its observations.
+``run_experiment`` drives the whole pipeline: estimate the transition
+matrix offline, simulate, run the tracking filter, predict gain maps at
 snapshot times and write the artifacts:
 
 * ``state_trace.csv``   -- ``t, true_x1, ..., est_x1, ...`` per observation
@@ -26,6 +28,7 @@ import json
 import numbers
 import struct
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +57,7 @@ from .markov import (
     estimate_transition_marginal,
     estimate_transition_markovian,
     finite_chain_dynamics,
+    horizon_steps,
     initial_belief,
     propagate_profile,
     simulate_trajectory,
@@ -80,6 +84,9 @@ __all__ = [
     "build_scene",
     "query_points",
     "estimate_transition",
+    "build",
+    "streams",
+    "simulate",
     "run_experiment",
     "prior_baseline",
     "l_sweep",
@@ -181,8 +188,6 @@ class DynamicsConfig:
         cfg = DynamicsConfig(**_read(data, path, fields, required=("kind",)))
         if cfg.kind not in ("coupled_tanh", "finite_chain"):
             raise ConfigError(f"{path}.kind must be 'coupled_tanh' or 'finite_chain', got {cfg.kind!r}")
-        if cfg.kind == "finite_chain" and (cfg.points is None or cfg.matrix is None):
-            raise ConfigError(f"{path}: finite_chain dynamics need 'points' and 'matrix'")
         return cfg
 
 
@@ -208,8 +213,6 @@ class SensorConfig:
         cfg = SensorConfig(**_read(data, path, {"kind": str, "n": int, "positions": (float, 2)}, required=("kind",)))
         if cfg.kind not in ("lattice", "fixed"):
             raise ConfigError(f"{path}.kind must be 'lattice' or 'fixed', got {cfg.kind!r}")
-        if cfg.kind == "fixed" and cfg.positions is None:
-            raise ConfigError(f"{path}: fixed sensors need 'positions'")
         return cfg
 
 
@@ -275,94 +278,8 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def validate(self) -> "ScenarioConfig":
-        try:
-            grid = build_grid(self)
-        except ValueError as e:
-            raise ConfigError(f"grid: {e}") from e
-        if self.quantization not in ("markovian", "marginal"):
-            raise ConfigError(f"quantization must be 'markovian' or 'marginal', got {self.quantization!r}")
-        for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
-            if getattr(self.transition, name) < least:
-                raise ConfigError(f"transition.{name} must be >= {least}")
-        d = self.dynamics
-        if d.kind == "coupled_tanh":
-            if grid.ndim != 2:
-                raise ConfigError("dynamics.kind 'coupled_tanh' needs a 2-dimensional grid")
-            if len(d.initial_state) != 2:
-                raise ConfigError("dynamics.initial_state must have 2 entries for coupled_tanh")
-        else:
-            pts = np.asarray(d.points, dtype=float)
-            mat = np.asarray(d.matrix, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != grid.ndim:
-                raise ConfigError("dynamics.points must be rows of grid-dimensional states")
-            if mat.shape != (len(pts), len(pts)):
-                raise ConfigError("dynamics.matrix must be square over dynamics.points")
-            if np.any(mat < 0.0):
-                raise ConfigError("dynamics.matrix entries must be >= 0")
-            if np.max(np.abs(mat.sum(axis=0) - 1.0)) > 1e-9:
-                raise ConfigError("dynamics.matrix columns must sum to 1")
-            if not 0 <= d.initial_index < len(pts):
-                raise ConfigError("dynamics.initial_index out of range")
-        sc = self.scene
-        if len(sc.ref_pos) != 2:
-            raise ConfigError(f"scene.ref_pos must have 2 entries, got {len(sc.ref_pos)}")
-        if not 0 <= sc.mu_index < grid.ndim:
-            raise ConfigError("scene.mu_index must index a grid dimension")
-        if sc.kernel.form != "exponential-isotropic":
-            raise ConfigError(f"scene.kernel.form must be 'exponential-isotropic', got {sc.kernel.form!r}")
-        if len(sc.kernel.params) != 2:
-            raise ConfigError("scene.kernel.params must have 2 entries (shadowing power, correlation distance)")
-        for i, (tag, value) in enumerate(sc.kernel.params):
-            if tag == "state" and not 0 <= int(value) < grid.ndim:
-                raise ConfigError(f"scene.kernel.params[{i}] binds a state coordinate outside the grid")
-        (power_tag, power), (dist_tag, dist) = sc.kernel.params
-        if power_tag == "const" and not 0.0 <= power < np.inf:
-            raise ConfigError("scene.kernel.params[0] (shadowing power) must be finite and >= 0")
-        if dist_tag == "const" and not 0.0 < dist < np.inf:
-            raise ConfigError("scene.kernel.params[1] (correlation distance) must be finite and > 0")
-        try:
-            state_map = _state_map(self)
-        except ValueError as e:
-            raise ConfigError(f"scene.mu_index and scene.kernel.params: {e}") from e
-        try:
-            kernel_eval(0.0, state_map.theta_of(reconstruction_matrix(grid).T))
-        except ValueError as e:
-            raise ConfigError(f"scene.kernel.params at a grid cell center: {e}") from e
-        if not 0.0 <= sc.sigma_xi_sq < np.inf:
-            raise ConfigError("scene.sigma_xi_sq must be finite and >= 0")
-        if sc.sensors.kind == "fixed":
-            try:
-                build_scene(self, rng=None)
-            except ValueError as e:
-                raise ConfigError(f"scene.sensors.positions: {e}") from e
-        if sc.sensors.kind == "lattice":
-            if sc.sensors.n < 1:
-                raise ConfigError("scene.sensors.n must be >= 1")
-            if sc.sensors.n > self.query_grid.nx * self.query_grid.ny:
-                raise ConfigError("scene.sensors.n exceeds the number of lattice points")
-        if self.timesteps < 0:
-            raise ConfigError("timesteps must be >= 0")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
-        if self.query_grid.nx < 1 or self.query_grid.ny < 1:
-            raise ConfigError("query_grid.nx and query_grid.ny must be >= 1")
-        if len(self.query_grid.region) != 2 or any(len(r) != 2 for r in self.query_grid.region):
-            raise ConfigError("query_grid.region must be two [lower, upper] pairs")
-        for axis, (lo, hi) in enumerate(self.query_grid.region):
-            if not lo < hi:
-                raise ConfigError(f"query_grid.region[{axis}] must satisfy lower < upper")
-        if sc.sensors.kind == "lattice" or self.map_snapshots:
-            try:
-                point_path_loss(sc.ref_pos, query_points(self), label="query point")
-            except ValueError as e:
-                raise ConfigError(f"query_grid: {e}") from e
-        for k in self.map_snapshots:
-            if not 0 <= k < self.timesteps:
-                raise ConfigError(f"map_snapshots entry {k} outside [0, timesteps)")
-        if len(set(self.map_snapshots)) != len(self.map_snapshots):
-            raise ConfigError("map_snapshots entries must be distinct")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        """``self``, if its objects build; otherwise :func:`build` raises a ``ConfigError``."""
+        build(self)
         return self
 
 
@@ -466,10 +383,7 @@ def query_points(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _state_map(cfg: ScenarioConfig) -> StateToChannelMap:
-    bindings = tuple(
-        StateCoord(int(value)) if tag == "state" else float(value)
-        for tag, value in cfg.scene.kernel.params
-    )
+    bindings = tuple(StateCoord(value) if tag == "state" else value for tag, value in cfg.scene.kernel.params)
     return StateToChannelMap(mu_index=cfg.scene.mu_index, theta_bindings=bindings)
 
 
@@ -479,18 +393,11 @@ def build_scene(cfg: ScenarioConfig, rng) -> ChannelScene:
     ``rng`` is used only for lattice sensors; fixed ones are taken as given.
     """
     sc = cfg.scene
-    if sc.sensors.kind == "fixed":
-        positions = np.asarray(sc.sensors.positions, dtype=float)
-    else:
+    positions = sc.sensors.positions
+    if sc.sensors.kind == "lattice":
         lattice = query_points(cfg)
-        choice = rng.choice(len(lattice), size=sc.sensors.n, replace=False)
-        positions = lattice[choice]
-    return ChannelScene(
-        ref_pos=np.asarray(sc.ref_pos, dtype=float),
-        sensors=positions,
-        sigma_xi_sq=sc.sigma_xi_sq,
-        state_map=_state_map(cfg),
-    )
+        positions = lattice[rng.choice(len(lattice), size=sc.sensors.n, replace=False)]
+    return ChannelScene(ref_pos=sc.ref_pos, sensors=positions, sigma_xi_sq=sc.sigma_xi_sq, state_map=_state_map(cfg))
 
 
 def estimate_transition(cfg: ScenarioConfig, dyn: StateDynamics, grid: GridSpec, rng) -> TransitionMatrix:
@@ -499,6 +406,120 @@ def estimate_transition(cfg: ScenarioConfig, dyn: StateDynamics, grid: GridSpec,
     return estimate_transition_marginal(
         dyn, grid, n_paths=cfg.transition.n_paths, path_length=cfg.transition.path_length, rng=rng
     )
+
+
+Streams = namedtuple("Streams", "sensor transition truth obs")
+
+
+def streams(cfg: ScenarioConfig) -> Streams:
+    """A run's generators, one per consumer, from the five children of ``cfg.seed`` in this fixed order.
+
+    The third child is unused, since the initial state is fixed; it is still
+    spawned so that the truth and observation streams keep their seeds.
+    """
+    sensor, transition, _, truth, obs = np.random.SeedSequence(cfg.seed).spawn(5)
+    return Streams(*(np.random.default_rng(ss) for ss in (sensor, transition, truth, obs)))
+
+
+@contextmanager
+def _fields(names: str):
+    """Raise a constructor's ``ValueError`` as a ``ConfigError`` naming the config fields it was built from."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{names}: {e}") from e
+
+
+def build(cfg: ScenarioConfig):
+    """The objects a run uses, ``(grid, dynamics, scene, query points)``; building them validates ``cfg``.
+
+    A constructor's ``ValueError`` becomes a ``ConfigError`` naming its config
+    fields; the checks written here are those no constructor makes.  Lattice
+    sensors are drawn from the run's own sensor stream.
+    """
+    if cfg.quantization not in ("markovian", "marginal"):
+        raise ConfigError(f"quantization must be 'markovian' or 'marginal', got {cfg.quantization!r}")
+    for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
+        if getattr(cfg.transition, name) < least:
+            raise ConfigError(f"transition.{name} must be >= {least}")
+    if cfg.timesteps < 0:
+        raise ConfigError("timesteps must be >= 0")
+    with _fields("horizon"):
+        horizon_steps(cfg.horizon)
+    for k in cfg.map_snapshots:
+        if not 0 <= k < cfg.timesteps:
+            raise ConfigError(f"map_snapshots entry {k} outside [0, timesteps)")
+    if len(set(cfg.map_snapshots)) != len(cfg.map_snapshots):
+        raise ConfigError("map_snapshots entries must be distinct")
+    with _fields("grid"):
+        grid = build_grid(cfg)
+    d = cfg.dynamics
+    chain_fields = "dynamics.points, dynamics.matrix, dynamics.initial_index"
+    with _fields("dynamics.initial_state" if d.kind == "coupled_tanh" else chain_fields):
+        dyn = build_dynamics(cfg)
+    if dyn.dim != grid.ndim:
+        raise ConfigError(f"dynamics ({d.kind}) has {dyn.dim}-dimensional states; the grid has {grid.ndim} dimensions")
+    sc = cfg.scene
+    if sc.kernel.form != "exponential-isotropic":
+        raise ConfigError(f"scene.kernel.form must be 'exponential-isotropic', got {sc.kernel.form!r}")
+    if len(sc.kernel.params) != 2:
+        raise ConfigError("scene.kernel.params must have 2 entries (shadowing power, correlation distance)")
+    (power_tag, power), (dist_tag, dist) = sc.kernel.params
+    if power_tag == "const" and power < 0.0:
+        raise ConfigError("scene.kernel.params[0] (shadowing power) must be >= 0")
+    if dist_tag == "const" and dist <= 0.0:
+        raise ConfigError("scene.kernel.params[1] (correlation distance) must be > 0")
+    with _fields("scene.mu_index, scene.kernel.params"):
+        state_map = _state_map(cfg)
+    if state_map.state_dim_required > grid.ndim:
+        raise ConfigError(f"scene.mu_index, scene.kernel.params: the grid has only {grid.ndim} coordinates")
+    states = reconstruction_matrix(grid).T  # the states the filter weighs, and the chain states the truth visits
+    if d.kind == "finite_chain":
+        states = np.vstack([states, d.points])
+    with _fields("scene.kernel.params at a grid cell center or chain point"):
+        kernel_eval(0.0, state_map.theta_of(states))
+    qg = cfg.query_grid
+    if qg.nx < 1 or qg.ny < 1:
+        raise ConfigError("query_grid.nx and query_grid.ny must be >= 1")
+    if len(qg.region) != 2 or any(len(r) != 2 for r in qg.region):
+        raise ConfigError("query_grid.region must be two [lower, upper] pairs")
+    for axis, (lo, hi) in enumerate(qg.region):
+        if not lo < hi:
+            raise ConfigError(f"query_grid.region[{axis}] must satisfy lower < upper")
+    queries = query_points(cfg)
+    with _fields("seed"):
+        sensor_rng = streams(cfg).sensor
+    sensors = "scene.sensors.positions" if sc.sensors.kind == "fixed" else "scene.sensors.n, query_grid"
+    with _fields(f"scene.ref_pos, scene.sigma_xi_sq, {sensors}"):
+        scene = build_scene(cfg, sensor_rng)
+    if sc.sensors.kind == "lattice" or cfg.map_snapshots:
+        with _fields("query_grid"):
+            point_path_loss(scene.ref_pos, queries, label="query point")
+    return grid, dyn, scene, queries
+
+
+def simulate(
+    scene: ChannelScene, dyn: StateDynamics, T: int, rho: int, truth_rng, obs_rng, queries=None, field_times=()
+):
+    """``(trajectory, observations, fields)``: ``T + rho`` steps of ``dyn`` and what the sensors and maps see.
+
+    Observation ``t`` is drawn at trajectory row ``t + 1``.  ``fields[k]``,
+    for each ``k`` in ``field_times``, is the noiseless gain over ``queries``
+    at time ``k + rho``, drawn jointly with that time's observation.
+    """
+    targets = {k + rho: k for k in field_times}
+    observations: list[ObservationBatch] = []
+    fields: dict[int, np.ndarray] = {}
+    with single_thread_blas():
+        trajectory = simulate_trajectory(dyn, T + rho, truth_rng)
+        for t in range(T + rho):
+            if t in targets:
+                obs, fields[targets[t]] = sample_joint_field(scene, t, trajectory[t + 1], queries, obs_rng)
+            elif t < T:
+                obs = sample_observation(scene, t, trajectory[t + 1], obs_rng)
+            if t < T:
+                observations.append(obs)
+    return trajectory, observations, fields
 
 
 @dataclass
@@ -565,50 +586,30 @@ def run_experiment(
     write_trace: bool = True,
     write_maps: bool = True,
 ) -> RunMetrics:
-    """Run the full pipeline for a validated configuration.
+    """Run the full pipeline; a faulty config raises ``ConfigError`` from :func:`build` before any phase.
 
     Passing a precomputed ``transition`` skips the offline estimation phase
     (its budget settings are then ignored).  Artifacts are written only when
     ``cfg.out_dir`` is set; metric computation happens regardless.
     """
-    cfg.validate()
+    grid, dyn, scene, queries = build(cfg)
+    rngs = streams(cfg)
     runtime_s: dict[str, float] = {}
-    # Stream layout: one child per consumer, in this fixed order.  Slot 2 is
-    # unused, since the initial state is fixed; it is still spawned so that
-    # the truth and observation streams keep their seeds.
-    sensor_ss, transition_ss, _, truth_ss, obs_ss = np.random.SeedSequence(cfg.seed).spawn(5)
 
     with _phase(runtime_s, "setup"):
-        grid = build_grid(cfg)
-        dyn = build_dynamics(cfg)
-        scene = build_scene(cfg, np.random.default_rng(sensor_ss))
-        queries = query_points(cfg)
         conditioning = observation_conditioning(scene, 0, scene.state_map.theta_of(reconstruction_matrix(grid).T))
 
     with _phase(runtime_s, "transition"):
         if transition is None:
-            transition = estimate_transition(cfg, dyn, grid, np.random.default_rng(transition_ss))
+            transition = estimate_transition(cfg, dyn, grid, rngs.transition)
         elif transition.n_cells != grid.n_cells:
             raise ValueError("provided transition matrix does not match the grid")
 
-    with _phase(runtime_s, "simulate"), single_thread_blas():
+    with _phase(runtime_s, "simulate"):
         T, rho = cfg.timesteps, cfg.horizon
-        trajectory = simulate_trajectory(dyn, T + rho, np.random.default_rng(truth_ss))
-        field_times = {k + rho: k for k in cfg.map_snapshots}
-        obs_rng = np.random.default_rng(obs_ss)
-        observations: list[ObservationBatch] = []
-        true_fields: dict[int, np.ndarray] = {}
-        for t in range(T + rho):
-            x_t = trajectory[t + 1]
-            if t in field_times:
-                obs, fld = sample_joint_field(scene, t, x_t, queries, obs_rng)
-                true_fields[field_times[t]] = fld
-            elif t < T:
-                obs = sample_observation(scene, t, x_t, obs_rng)
-            else:
-                continue
-            if t < T:
-                observations.append(obs)
+        trajectory, observations, true_fields = simulate(
+            scene, dyn, T, rho, rngs.truth, rngs.obs, queries, cfg.map_snapshots
+        )
 
     pred_maps: dict[int, np.ndarray] = {}
     snapshot_set = set(cfg.map_snapshots)
@@ -683,12 +684,9 @@ def prior_baseline(cfg: ScenarioConfig, transition: TransitionMatrix | None = No
     ``t`` had it never seen data.  Uses the same derived transition stream
     as ``run_experiment``, so a paired run shares the transition matrix.
     """
-    cfg.validate()
-    _, transition_ss, *_ = np.random.SeedSequence(cfg.seed).spawn(5)
-    grid = build_grid(cfg)
-    dyn = build_dynamics(cfg)
+    grid, dyn, _, _ = build(cfg)
     if transition is None:
-        transition = estimate_transition(cfg, dyn, grid, np.random.default_rng(transition_ss))
+        transition = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
     X_rho = propagate_profile(reconstruction_matrix(grid), transition.matrix, cfg.horizon)
     belief = initial_belief(dyn, grid)
     if cfg.timesteps == 0:
@@ -709,12 +707,9 @@ def l_sweep(cfg: ScenarioConfig, L_values, n_seeds: int = 20) -> list[tuple[int,
     transition matrices are estimated once per resolution.  Returns rows
     ``(L, median RMSE of the first state coordinate over seeds)``.
     """
-    cfg.validate()
     L_values = [int(L) for L in L_values]
-    master = np.random.SeedSequence(cfg.seed)
-    trans_ss, *seed_ss = master.spawn(1 + n_seeds)
-
-    dyn = build_dynamics(cfg)
+    trans_ss, *seed_ss = np.random.SeedSequence(cfg.seed).spawn(1 + n_seeds)
+    dyn = build(cfg)[1]
     grids, transitions, priors = {}, {}, {}
     for L, sub in zip(L_values, trans_ss.spawn(len(L_values))):
         grid_l = GridSpec(cfg.grid.lower, cfg.grid.upper, (L,) * len(cfg.grid.cells))
@@ -725,12 +720,9 @@ def l_sweep(cfg: ScenarioConfig, L_values, n_seeds: int = 20) -> list[tuple[int,
     errors = {L: [] for L in L_values}
     T, rho = cfg.timesteps, cfg.horizon
     for ss in seed_ss:
-        sensor_ss, truth_ss, obs_ss = ss.spawn(3)
-        scene = build_scene(cfg, np.random.default_rng(sensor_ss))
-        trajectory = simulate_trajectory(dyn, T + rho, np.random.default_rng(truth_ss))
-        obs_rng = np.random.default_rng(obs_ss)
-        with single_thread_blas():
-            observations = [sample_observation(scene, t, trajectory[t + 1], obs_rng) for t in range(T)]
+        sensor_rng, truth_rng, obs_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+        scene = build_scene(cfg, sensor_rng)
+        trajectory, observations, _ = simulate(scene, dyn, T, rho, truth_rng, obs_rng)
         targets = np.stack([trajectory[t + 1 + rho] for t in range(T)]) if T else trajectory[[rho]]
         for L in L_values:
             session = GridFilter(grids[L], transitions[L], scene, priors[L], rho=rho)

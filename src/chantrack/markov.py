@@ -110,6 +110,9 @@ def coupled_tanh_dynamics(gamma: float = 1.6, initial=(2.0, 25.3)) -> StateDynam
     coordinates strongly.
     """
     g = float(gamma)
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (2,):
+        raise ValueError(f"initial state must have 2 entries, got shape {initial.shape}")
 
     def step(x, w):
         x = np.asarray(x, dtype=float)
@@ -123,7 +126,7 @@ def coupled_tanh_dynamics(gamma: float = 1.6, initial=(2.0, 25.3)) -> StateDynam
     def noise(rng, size):
         return np.clip(rng.standard_normal(size), -1.0, 1.0)
 
-    return StateDynamics(dim=2, step=step, noise_sampler=noise, initial=np.asarray(initial, dtype=float))
+    return StateDynamics(dim=2, step=step, noise_sampler=noise, initial=initial)
 
 
 def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynamics:
@@ -143,6 +146,8 @@ def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynami
         raise ValueError("matrix entries must be >= 0")
     if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
         raise ValueError("matrix columns must sum to 1")
+    if not 0 <= initial_index < len(pts):
+        raise ValueError(f"initial_index {initial_index} outside [0, {len(pts)})")
     cdf_rows = np.cumsum(p, axis=0).T  # row j = CDF of the jump law out of state j
 
     def step(x, w):

@@ -16,7 +16,6 @@ from chantrack.channel import (
     cross_covariance,
     gaussian_unnormalized_loglik,
     point_path_loss,
-    sample_joint_field,
     sample_observation,
 )
 from chantrack.filtering import GridFilter, brute_force_posterior
@@ -32,6 +31,7 @@ from chantrack.harness import (
     query_points,
     random_small_scenario,
     run_experiment,
+    simulate,
 )
 from chantrack.kriging import QuerySpec, kriging_mean, predict_gain, predict_gain_map
 from chantrack.markov import (
@@ -40,7 +40,6 @@ from chantrack.markov import (
     estimate_transition_markovian,
     finite_chain_dynamics,
     initial_belief,
-    simulate_trajectory,
 )
 from chantrack.util import single_thread_blas
 
@@ -205,20 +204,14 @@ def test_criterion_6_benchmark_reproduction(tmp_path):
 
     filter_rmse, baseline_rmse, map_rmse = [], [], []
     spec = QuerySpec(queries)
+    last = study.timesteps - 1
     for ss in np.random.SeedSequence(60_001).spawn(20):
-        sensor_ss, truth_ss, obs_ss = ss.spawn(3)
-        scene = build_scene(study, np.random.default_rng(sensor_ss))
-        trajectory = simulate_trajectory(dyn, study.timesteps, np.random.default_rng(truth_ss))
-        obs_rng = np.random.default_rng(obs_ss)
-        with single_thread_blas():
-            observations = [
-                sample_observation(scene, t, trajectory[t + 1], obs_rng)
-                for t in range(study.timesteps - 1)
-            ]
-        final_obs, field = sample_joint_field(
-            scene, study.timesteps - 1, trajectory[study.timesteps], queries, obs_rng
+        sensor_rng, truth_rng, obs_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+        scene = build_scene(study, sensor_rng)
+        trajectory, observations, fields = simulate(
+            scene, dyn, study.timesteps, 0, truth_rng, obs_rng, queries, [last]
         )
-        observations.append(final_obs)
+        final_obs, field = observations[last], fields[last]
         session = GridFilter(grid, transition, scene, prior)
         records = session.run_tracking(observations)
         estimates = np.stack([r.estimate for r in records])

@@ -60,6 +60,18 @@ def test_path_loss_singularity_names_sensor():
         point_path_loss(scene.ref_pos, np.array([[25.0, 10.0]]), label="query point")
 
 
+@pytest.mark.parametrize("sensors", [np.empty((0, 2)), np.empty((3, 0, 2))])
+def test_scene_rejects_no_sensors(sensors):
+    with pytest.raises(ValueError, match="N >= 1"):
+        make_scene(sensors)
+
+
+@pytest.mark.parametrize("ref", [(25.0,), (25.0, 10.0, 0.0)])
+def test_scene_rejects_reference_of_wrong_length(ref):
+    with pytest.raises(ValueError, match="ref_pos"):
+        make_scene([[26.0, 10.0]], ref=ref)
+
+
 @pytest.mark.parametrize("sigma_xi_sq", [-1.0, np.nan, np.inf])
 def test_scene_rejects_invalid_noise_variance(sigma_xi_sq):
     with pytest.raises(ValueError, match="sigma_xi_sq"):

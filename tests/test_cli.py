@@ -1,14 +1,10 @@
 import copy
 import json
 import struct
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chantrack.cli import main
 from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict, save_transition
@@ -163,6 +159,11 @@ _CHAIN = {"kind": "finite_chain", "points": [[1.0, 25.1], [3.0, 25.5]], "matrix"
         (dict(_CHAIN, matrix=[[1.5, 0.3], [-0.5, 0.7]]), "dynamics.matrix"),  # columns sum to 1
         (dict(_CHAIN, matrix=[[0.7, -0.3], [0.3, 1.3]]), "dynamics.matrix"),
         ({"kind": "coupled_tanh", "gamma": 10**400}, "dynamics.gamma"),  # an integer beyond the float range
+        (dict(_CHAIN, points=[[1.0, 25.1], [3.0]]), "dynamics.points"),  # ragged rows
+        (dict(_CHAIN, matrix=[[0.7, 0.3], [0.3]]), "dynamics.matrix"),
+        (dict(_CHAIN, points=[[1.0, -25.1], [3.0, 25.5]]), "scene.kernel.params"),  # shadowing power < 0 at a chain point
+        (dict(_CHAIN, initial_index=2), "dynamics.initial_index"),
+        ({"kind": "coupled_tanh", "initial_state": [2.0]}, "dynamics.initial_state"),
     ],
 )
 def test_malformed_dynamics_numbers_are_config_errors(tmp_path, capsys, dynamics, named):
@@ -286,47 +287,55 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def _leaf_mutations(node, path=()):
-    """Every single-leaf mutation of a JSON tree: ``(path, kind)`` with kind 'type', 'sign' or 'length'."""
+    """Every single-leaf mutation of a JSON tree as ``(path, label, new value)``.
+
+    A leaf takes a value of each other JSON type; a number flips its sign; a
+    list also grows or shrinks by its last entry.
+    """
     if isinstance(node, dict):
         return [m for key, value in node.items() for m in _leaf_mutations(value, path + (key,))]
+    out = [(path, f"type_{type(other).__name__}", other) for other in _OTHER_TYPES if type(other) is not type(node)]
     if isinstance(node, list):
-        inner = [m for i, value in enumerate(node) for m in _leaf_mutations(value, path + (i,))]
-        return [(path, "length"), (path, "type")] + inner
-    kinds = ["type"] + (["sign"] if isinstance(node, (int, float)) and not isinstance(node, bool) else [])
-    return [(path, kind) for kind in kinds]
+        out += [(path, "grow", node + node[-1:]), (path, "shrink", node[:-1])]
+        out += [m for i, value in enumerate(node) for m in _leaf_mutations(value, path + (i,))]
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        out.append((path, "sign", -node))
+    return out
 
 
 _OTHER_TYPES = [None, True, "x", 3, 2.5, [], {}]
-
-
-@settings(max_examples=30, deadline=None, database=None)
-@given(
-    mutation=st.sampled_from(_leaf_mutations(SMALL_CONFIG)),
-    replacement=st.sampled_from(_OTHER_TYPES),
-    grow=st.booleans(),
+CHAIN_CONFIG = dict(
+    SMALL_CONFIG,
+    dynamics=_CHAIN,
+    scene=dict(SMALL_CONFIG["scene"], sensors={"kind": "fixed", "positions": [[20.0, 10.0], [30.0, 14.0]]}),
 )
-def test_mutated_config_is_valid_or_config_error(mutation, replacement, grow):
-    # one mutated leaf yields a config or a ConfigError, and the CLI exits 0, 2 or 3 without raising
-    (*parents, leaf), kind = mutation
-    cfg = copy.deepcopy(SMALL_CONFIG)
-    holder = cfg
-    for key in parents:
-        holder = holder[key]
-    value = holder[leaf]
-    if kind == "sign":
-        holder[leaf] = -value
-    elif kind == "length":
-        holder[leaf] = value + value[-1:] if grow else value[:-1]
-    elif type(replacement) is not type(value):
-        holder[leaf] = replacement
+
+
+def _mutants():
+    """Each distinct config one leaf mutation of ``SMALL_CONFIG`` or ``CHAIN_CONFIG`` gives, with a test id."""
+    out = {}
+    for name, base in (("small", SMALL_CONFIG), ("chain", CHAIN_CONFIG)):
+        for (*parents, leaf), label, value in _leaf_mutations(base):
+            cfg = copy.deepcopy(base)
+            holder = cfg
+            for key in parents:
+                holder = holder[key]
+            holder[leaf] = value
+            test_id = "-".join([name, ".".join(map(str, parents + [leaf])), label])
+            out.setdefault(json.dumps(cfg, sort_keys=True), pytest.param(cfg, id=test_id))
+    return list(out.values())
+
+
+@pytest.mark.parametrize("cfg", _mutants())
+def test_mutated_config_is_valid_or_config_error(tmp_path, cfg):
+    # a config that parses runs to exit 0; one that raises ConfigError exits 2; nothing exits 1 or 3
     try:
         valid = isinstance(config_from_dict(cfg), ScenarioConfig)
     except ConfigError:
         valid = False
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["experiment", "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3)
-    assert (code == 2) == (not valid)
+        code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == (0 if valid else 2)

@@ -56,6 +56,19 @@ def test_finite_chain_rejects_negative_entries():
         finite_chain_dynamics([[0.0], [1.0]], [[1.5, 0.0], [-0.5, 1.0]])
 
 
+@pytest.mark.parametrize("initial_index", [-1, 2])
+def test_finite_chain_rejects_initial_index_out_of_range(initial_index):
+    # -1 used to start silently at the last point, and 2 raised IndexError
+    with pytest.raises(ValueError, match="initial_index"):
+        finite_chain_dynamics([[0.25], [0.75]], FLIP, initial_index=initial_index)
+
+
+@pytest.mark.parametrize("initial", [(1.0,), (1.0, 2.0, 3.0)])
+def test_coupled_tanh_rejects_initial_state_of_wrong_length(initial):
+    with pytest.raises(ValueError, match="2 entries"):
+        coupled_tanh_dynamics(initial=initial)
+
+
 def test_markovian_identity_dynamics_gives_identity():
     grid = GridSpec((0.0,), (1.0,), (4,))
     tm = estimate_transition_markovian(identity_dynamics(), grid, samples_per_cell=50, rng=0)
