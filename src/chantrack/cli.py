@@ -76,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args):
+    """The config with the command-line overrides; every command builds it, which validates it, before any phase."""
     cfg = config_from_json(args.config) if args.config else benchmark_config()
     updates = {}
     if args.seed is not None:
@@ -86,9 +87,7 @@ def _resolve_config(args):
         updates["quantization"] = args.mode
     if args.rho is not None:
         updates["horizon"] = args.rho
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg.validate()
+    return dataclasses.replace(cfg, **updates)
 
 
 def _require_out_dir(cfg):

@@ -7,8 +7,15 @@ estimate is ``X P^rho b`` at the session's one horizon ``rho``, with ``X`` the
 matrix of cell centers; the ``(d, C)`` matrix ``X P^rho`` is built once per
 session from ``rho`` row products.  Per-update work does not grow with time.
 
-Cells whose kernel parameters coincide share a single observation-covariance
-factorization; the factors are built once when the sensors are static.
+Given a cell, the observation is Gaussian with mean ``alpha mu`` and a
+covariance ``Sigma_u`` set by the cell's kernel-parameter group ``u``.  So
+the cell's log-likelihood is a quadratic in its path-loss exponent ``mu``:
+``-(S_yy - 2 mu S_ya + mu^2 S_aa + log det Sigma_u) / 2`` up to a constant,
+with ``S_ab = a^T Sigma_u^-1 b``.  Per update and group, one triangular solve
+of the Cholesky factor ``L_u`` against the two columns ``[y alpha]`` gives the
+three sums; they are gathered to the cells by ``group_index``.  The ``(G, N, N)``
+factors come from one stacked Cholesky, built once when the sensors are
+static.
 """
 
 from __future__ import annotations
@@ -96,7 +103,6 @@ class GridFilter:
         self.mus = self.X[scene.state_map.mu_index]
         thetas = scene.state_map.theta_of(self.X.T)
         self.group_thetas, self.group_index = _stable_unique_rows(thetas)
-        self.group_cells = [np.flatnonzero(self.group_index == u) for u in range(len(self.group_thetas))]
         self._cached_factors = self._build_factors(0) if scene.static else None
         self.map_memo: dict = {}  # filled by kriging at the first map, for static sensors only
 
@@ -108,33 +114,32 @@ class GridFilter:
     def reset_count(self) -> int:
         return len(self.reset_events)
 
-    def _build_factors(self, t: int) -> list[tuple[np.ndarray, float]]:
-        factors = []
-        for theta in self.group_thetas:
-            cov = build_obs_covariance(self.scene, t, theta)
-            factor = np.linalg.cholesky(cov)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-            factors.append((factor, logdet))
-        return factors
+    def _build_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        covs = np.stack([build_obs_covariance(self.scene, t, theta) for theta in self.group_thetas])
+        factors = np.linalg.cholesky(covs)
+        logdets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+        return factors, logdets
 
-    def factors_at(self, t: int) -> list[tuple[np.ndarray, float]]:
-        """Cholesky factor and log-determinant of the observation covariance per parameter group."""
+    def factors_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per parameter group, the observation covariance's Cholesky factor ``(G, N, N)`` and log-determinant ``(G,)``."""
         return self._cached_factors if self.scene.static else self._build_factors(t)
 
     def likelihood_vector(self, obs: ObservationBatch) -> np.ndarray:
         """Per-cell observation likelihoods rescaled so the largest entry is 1.
 
-        The rescaling happens in the log domain, so any constant factor in
-        the underlying density cancels exactly.
+        Each cell's log-likelihood is its group's three sums, quadratic in
+        the cell's ``mu`` (see the module docstring).  The rescaling happens
+        in the log domain, so any constant factor in the density cancels exactly.
         """
         if obs.n_sensors != self.scene.n_sensors:
             raise ValueError("observation dimension does not match the scene")
-        loglam = np.empty(self.n_cells)
-        factors = self.factors_at(obs.t)
-        for cells, (factor, logdet) in zip(self.group_cells, factors):
-            resid = obs.y[:, None] - obs.alpha[:, None] * self.mus[cells][None, :]
-            z = solve_triangular(factor, resid, lower=True, check_finite=False)
-            loglam[cells] = -0.5 * np.einsum("ij,ij->j", z, z) - 0.5 * logdet
+        factors, logdets = self.factors_at(obs.t)
+        rhs = np.column_stack([obs.y, obs.alpha])
+        z = np.stack([solve_triangular(factor, rhs, lower=True, check_finite=False) for factor in factors])
+        sums = np.einsum("gni,gnj->gij", z, z)[self.group_index]
+        s_yy, s_ya, s_aa = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1]
+        mus = self.mus
+        loglam = -0.5 * (s_yy - 2.0 * mus * s_ya + mus * mus * s_aa + logdets[self.group_index])
         top = loglam.max()
         if not np.isfinite(top):
             raise DegenerateLikelihoodError(top)

@@ -15,8 +15,8 @@ with the unit-power kernel blocks ``K_c = k(q, sensors; 1, theta2_c)``.
 At a session horizon ``rho >= 1`` the observation carries no extra
 information beyond the propagated state belief, so the prediction reduces
 to the query's path-loss coefficient times the predicted path-loss exponent.
-``predict_gain_map`` is the one prediction route; ``predict_gain`` is the
-map on one point, with blocks of its own.
+``predict_gain_map`` is the one prediction route; a single point is a
+one-point :class:`QuerySpec`, and :func:`kriging_mean` is its referee.
 
 When the sensors are static, nothing but the belief and the observation
 changes between maps, so the session keeps what the rest depends on:
@@ -45,7 +45,7 @@ from .channel import (
 )
 from .filtering import GridFilter
 
-__all__ = ["QuerySpec", "kriging_mean", "predict_gain", "predict_gain_map"]
+__all__ = ["QuerySpec", "kriging_mean", "predict_gain_map"]
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,11 @@ def _precisions(session: GridFilter, t: int) -> np.ndarray:
     """Per parameter group, the observation-covariance precision ``W^T W``, shape ``(G, N, N)``.
 
     ``W`` is the inverse of the group's Cholesky factor, from one batched
-    inverse of the stacked factors.
+    inverse of the session's stacked factors.
     """
 
     def build():
-        inverse = np.linalg.inv(np.stack([factor for factor, _ in session.factors_at(t)]))
+        inverse = np.linalg.inv(session.factors_at(t)[0])
         return np.einsum("gkn,gkm->gnm", inverse, inverse)
 
     return _memoized(session, "precisions", None, build)
@@ -135,17 +135,6 @@ def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec
     return alpha_q, np.stack([kernel_eval(d, (1.0, distance)) for distance in ranges])
 
 
-def predict_gain(session: GridFilter, obs: ObservationBatch, query) -> float:
-    """Predicted gain at ``query``, the session's horizon past the last observation.
-
-    The gain map of :func:`predict_gain_map` on the one point ``query``,
-    with its own one-point blocks: the session's map memo is left alone, so
-    a caller alternating points and maps keeps the map's blocks.
-    """
-    spec = QuerySpec(np.asarray(query, dtype=float)[None, :])
-    return float(_predict(session, obs, spec, _query_blocks)[0])
-
-
 def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QuerySpec) -> np.ndarray:
     """Predicted gain at every query point of a :class:`QuerySpec`, at the session's horizon.
 
@@ -160,24 +149,15 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     ``(Q, N)`` block is reduced with ``einsum``, not a BLAS GEMV, so a
     point's value does not depend on how many points share the call.
     """
-
-    def kept_blocks(*args):
-        return _memoized(session, "queries", queries, lambda: _query_blocks(*args))
-
-    return _predict(session, obs, queries, kept_blocks)
-
-
-def _predict(session: GridFilter, obs: ObservationBatch, queries: QuerySpec, blocks) -> np.ndarray:
-    """The gain map, with ``blocks(session, obs, queries, ranges)`` giving ``alpha_q`` and the kernel blocks."""
-    if obs.n_sensors != session.scene.n_sensors:
-        raise ValueError("observation dimension does not match the scene")
     scene = session.scene
+    if obs.n_sensors != scene.n_sensors:
+        raise ValueError("observation dimension does not match the scene")
     if session.rho:
         alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
         return alpha_q * session.estimate()[scene.state_map.mu_index]
     theta1, theta2 = session.group_thetas.T
     ranges, group_class = np.unique(theta2, return_inverse=True)
-    alpha_q, kernels = blocks(session, obs, queries, ranges)
+    alpha_q, kernels = _memoized(session, "queries", queries, lambda: _query_blocks(session, obs, queries, ranges))
     belief = session.belief
     n_groups = len(session.group_thetas)
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)

@@ -259,8 +259,10 @@ def initial_belief(dyn: StateDynamics, grid: GridSpec) -> np.ndarray:
 
 
 def horizon_steps(rho) -> int:
-    """The forecast horizon ``rho`` as a step count; a float, a string or a negative is a ``ValueError``, never rounded."""
+    """The forecast horizon ``rho`` as a step count; a bool, a float, a string or a negative is a ``ValueError``, never rounded."""
     try:
+        if isinstance(rho, bool):
+            raise TypeError
         steps = operator.index(rho)
     except TypeError:
         raise ValueError(f"rho must be an integer number of steps, got {rho!r}") from None

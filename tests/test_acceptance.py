@@ -33,7 +33,7 @@ from chantrack.harness import (
     run_experiment,
     simulate,
 )
-from chantrack.kriging import QuerySpec, kriging_mean, predict_gain, predict_gain_map
+from chantrack.kriging import QuerySpec, kriging_mean, predict_gain_map
 from chantrack.markov import (
     TransitionMatrix,
     estimate_transition_marginal,
@@ -103,7 +103,7 @@ def test_criterion_2_kriging_exactness():
             session = GridFilter(grid, tm, scene, belief)
             obs = sample_observation(scene, 0, rng.uniform([0.0], [4.0]), rng)
             j = int(rng.integers(n_sensors))
-            err = abs(predict_gain(session, obs, scene.sensors[j]) - obs.y[j])
+            err = abs(predict_gain_map(session, obs, QuerySpec(scene.sensors[j][None]))[0] - obs.y[j])
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -121,7 +121,7 @@ def test_criterion_3_predictor_consistency():
             session.run_tracking(observations[:-1])
             q = rng.uniform(0.0, 40.0, 2)
             aq = point_path_loss(scene.ref_pos, q[None])[0]
-            lhs = predict_gain(session, observations[-1], q)
+            lhs = predict_gain_map(session, observations[-1], QuerySpec(q[None]))[0]
             rhs = aq * session.estimate()[scene.state_map.mu_index]
             exact = exact and (lhs == rhs)
             sessions += 1

@@ -236,6 +236,22 @@ def test_missing_out_dir_is_config_error(config_path, capsys):
     assert "out_dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["transition", "track", "predict-map", "experiment"])
+@pytest.mark.parametrize("flag, named", [("--rho", "horizon"), ("--seed", "seed")])
+def test_bad_override_is_config_error(config_path, tmp_path, capsys, command, flag, named):
+    # an override is validated where the command builds its config, before any phase writes
+    out = tmp_path / "artifacts"
+    argv = [command, "--config", str(config_path), "--out", str(out), flag, "-1"]
+    if command in ("track", "predict-map"):
+        assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv += ["--transition", str(out / "transition.bin")]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+    assert command != "transition" or not out.exists()
+
+
 def test_seed_override_changes_artifacts(config_path, tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     main(["experiment", "--config", str(config_path), "--out", str(a)])

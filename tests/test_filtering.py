@@ -9,6 +9,7 @@ from chantrack.channel import (
     ObservationBatch,
     StateToChannelMap,
     build_obs_covariance,
+    gaussian_unnormalized_loglik,
     sample_observation,
 )
 from chantrack.filtering import (
@@ -18,7 +19,7 @@ from chantrack.filtering import (
     brute_force_posterior,
 )
 from chantrack.grid import GridSpec, cell_center, reconstruction_matrix
-from chantrack.harness import random_small_scenario
+from chantrack.harness import benchmark_config, build, random_small_scenario
 from chantrack.markov import TransitionMatrix, one_hot_belief, uniform_belief
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -80,6 +81,24 @@ def test_likelihood_matches_dense_formula():
     dense /= dense.max()
     assert np.max(np.abs(lam - dense)) <= 1e-12
     assert lam.max() == 1.0
+
+
+def test_likelihood_matches_per_cell_loglik_benchmark_grid():
+    # the three sums per group against one Gaussian log-density per cell, on
+    # the benchmark's 900 cells, 30 groups and 30 lattice sensors
+    grid, _, scene, _ = build(benchmark_config(seed=3))
+    session = GridFilter(grid, TransitionMatrix(np.eye(grid.n_cells), mode="markovian"), scene, uniform_belief(grid.n_cells))
+    assert len(session.group_thetas) == 30
+    rng = np.random.default_rng(15)
+    for t, x in enumerate(rng.uniform(grid.lower, grid.upper, (4, 2))):
+        obs = sample_observation(scene, t, x, rng)
+        loglik = np.array([
+            gaussian_unnormalized_loglik(obs.y, obs.alpha * mu, build_obs_covariance(scene, t, theta))
+            for mu, theta in zip(session.mus, scene.state_map.theta_of(session.X.T))
+        ])
+        lam = session.likelihood_vector(obs)
+        assert np.max(np.abs(lam - np.exp(loglik - loglik.max()))) <= 1e-10
+        assert lam.max() == 1.0
 
 
 def test_step_identity_flat_keeps_belief():
@@ -246,8 +265,8 @@ def test_cache_transparency_bitwise():
     lam_b = uncached.likelihood_vector(observations[0])
     assert np.array_equal(lam_a, lam_b)
     # cached factors equal freshly computed ones, bit for bit
-    for (fa, la), (fb, lb) in zip(cached.factors_at(0), cached._build_factors(0)):
-        assert np.array_equal(fa, fb) and la == lb
+    (fa, la), (fb, lb) = cached.factors_at(0), cached._build_factors(0)
+    assert np.array_equal(fa, fb) and np.array_equal(la, lb)
 
 
 def test_constant_per_step_cost():

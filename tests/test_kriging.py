@@ -20,7 +20,7 @@ from chantrack.channel import (
 from chantrack.filtering import GridFilter, brute_force_posterior
 from chantrack.grid import GridSpec
 from chantrack.harness import random_small_scenario
-from chantrack.kriging import QuerySpec, kriging_mean, predict_gain, predict_gain_map
+from chantrack.kriging import QuerySpec, kriging_mean, predict_gain_map
 from chantrack.markov import TransitionMatrix, uniform_belief
 
 
@@ -31,6 +31,11 @@ def make_scene(sensors, sigma_xi_sq=2.0, theta=(25.0, 10.0)):
         sigma_xi_sq=sigma_xi_sq,
         state_map=StateToChannelMap(mu_index=0, theta_bindings=(float(theta[0]), float(theta[1]))),
     )
+
+
+def predict_point(session, obs, q):
+    """The gain map on the one point ``q``."""
+    return predict_gain_map(session, obs, QuerySpec(np.asarray(q, dtype=float)[None]))[0]
 
 
 def make_session(rng, n_cells=6, n_sensors=4, rho=0, n_obs=3):
@@ -60,7 +65,7 @@ def test_query_spec_points_are_read_only_copy():
     assert np.array_equal(spec.points, kept)
 
 
-@pytest.mark.parametrize("rho", [1.5, 0.5, 2.0, "2"])
+@pytest.mark.parametrize("rho", [1.5, 0.5, 2.0, "2", True, False])
 def test_non_integer_horizon_rejected(rho):
     # a horizon is a whole number of steps; nothing may round or truncate it
     rng = np.random.default_rng(14)
@@ -263,29 +268,6 @@ def test_scripted_sensors_evaluate_kernel_every_map(monkeypatch):
     assert session.map_memo == {}
 
 
-def test_point_predictions_keep_map_blocks(monkeypatch):
-    # a one-point prediction between maps builds its own blocks, so the
-    # 3,600-point kernel block is built once however the calls alternate
-    session, obs, rng = _tracked_benchmark_session()
-    spec = QuerySpec(rng.uniform(0, 40, (3600, 2)))
-    shapes = []
-    original = kriging.kernel_eval
-
-    def counting(d, theta):
-        shapes.append(np.shape(d))
-        return original(d, theta)
-
-    monkeypatch.setattr(kriging, "kernel_eval", counting)
-    maps = []
-    for q in rng.uniform(0, 40, (3, 2)):
-        maps.append(predict_gain_map(session, obs, spec))
-        predict_gain(session, obs, q)
-        assert session.map_memo["queries"][0] is spec
-    assert shapes.count((3600, obs.n_sensors)) == 1
-    assert shapes.count((1, obs.n_sensors)) == 3
-    assert all(np.array_equal(m, maps[0]) for m in maps)
-
-
 @pytest.mark.parametrize("scenario", ["benchmark_grid", "theta2_bound"])
 def test_cell_solves_match_cho_solve(scenario):
     # the precision products against per-group Cholesky solves; relative to
@@ -296,7 +278,8 @@ def test_cell_solves_match_cho_solve(scenario):
         session, obs = _range_bound_scenario(np.random.default_rng(22), "state")
     v_y, v_alpha = kriging._cell_solves(session, obs)
     assert v_y.shape == v_alpha.shape == (len(session.group_thetas), obs.n_sensors)
-    for u, (factor, _) in enumerate(session.factors_at(obs.t)):
+    for u, theta in enumerate(session.group_thetas):
+        factor = np.linalg.cholesky(build_obs_covariance(session.scene, obs.t, theta))
         for v, rhs in ((v_y[u], obs.y), (v_alpha[u], obs.alpha)):
             ref = cho_solve((factor, True), rhs)
             assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -310,7 +293,7 @@ def test_predict_map_value_independent_of_query_count():
     pts = rng.uniform(0, 40, (64, 2))
     out = predict_gain_map(session, obs, QuerySpec(pts))
     for i, q in enumerate(pts):
-        assert out[i] == predict_gain(session, obs, q)
+        assert out[i] == predict_point(session, obs, q)
 
 
 @pytest.mark.parametrize("scenario", ["small", "benchmark_grid"])
@@ -329,8 +312,8 @@ def test_static_sensors_match_scripted_bitwise(scenario):
         session = GridFilter(grid, tm, sc, prior)
         beliefs = np.stack([r.belief for r in session.run_tracking(observations)])
         obs = observations[-1]
-        factors, logdets = zip(*session.factors_at(obs.t))
-        results.append((beliefs, np.array(factors), np.array(logdets), predict_gain_map(session, obs, spec)))
+        factors, logdets = session.factors_at(obs.t)
+        results.append((beliefs, factors, logdets, predict_gain_map(session, obs, spec)))
     for a, b in zip(*results):
         assert np.array_equal(a, b)
 
@@ -369,7 +352,7 @@ def test_predict_exact_interpolation_any_belief():
     session = GridFilter(grid, tm, scene, belief)
     obs = sample_observation(scene, 0, np.array([2.2]), rng)
     for j in range(5):
-        assert predict_gain(session, obs, sensors[j]) == pytest.approx(obs.y[j], abs=1e-9)
+        assert predict_point(session, obs, sensors[j]) == pytest.approx(obs.y[j], abs=1e-9)
 
 
 def test_predict_prior_collapse():
@@ -384,7 +367,7 @@ def test_predict_prior_collapse():
     obs = sample_observation(scene, 0, np.array([1.4]), rng)
     q = np.array([8.0, 31.0])
     aq = point_path_loss(scene.ref_pos, q[None])[0]
-    assert predict_gain(session, obs, q) == pytest.approx(aq * session.estimate()[0], rel=1e-12)
+    assert predict_point(session, obs, q) == pytest.approx(aq * session.estimate()[0], rel=1e-12)
 
 
 def test_predict_future_horizon_consistency_bitwise():
@@ -395,7 +378,7 @@ def test_predict_future_horizon_consistency_bitwise():
             q = rng.uniform(0, 40, 2)
             aq = point_path_loss(session.scene.ref_pos, q[None])[0]
             expected = aq * session.estimate()[session.scene.state_map.mu_index]
-            assert predict_gain(session, obs, q) == expected
+            assert predict_point(session, obs, q) == expected
 
 
 def test_predict_future_ignores_observation():
@@ -403,7 +386,7 @@ def test_predict_future_ignores_observation():
     session, obs = make_session(rng, rho=2)
     other = ObservationBatch(t=obs.t, y=obs.y + 5.0, alpha=obs.alpha)
     q = np.array([14.0, 2.0])
-    assert predict_gain(session, obs, q) == predict_gain(session, other, q)
+    assert predict_point(session, obs, q) == predict_point(session, other, q)
 
 
 def test_predict_affine_in_observations():
@@ -414,9 +397,9 @@ def test_predict_affine_in_observations():
     y_b = obs.y + rng.standard_normal(obs.n_sensors)
     for a in (0.25, 0.7):
         mix = ObservationBatch(t=obs.t, y=a * y_a + (1 - a) * y_b, alpha=obs.alpha)
-        pa = predict_gain(session, ObservationBatch(t=obs.t, y=y_a, alpha=obs.alpha), q)
-        pb = predict_gain(session, ObservationBatch(t=obs.t, y=y_b, alpha=obs.alpha), q)
-        assert predict_gain(session, mix, q) == pytest.approx(a * pa + (1 - a) * pb, rel=1e-10)
+        pa = predict_point(session, ObservationBatch(t=obs.t, y=y_a, alpha=obs.alpha), q)
+        pb = predict_point(session, ObservationBatch(t=obs.t, y=y_b, alpha=obs.alpha), q)
+        assert predict_point(session, mix, q) == pytest.approx(a * pa + (1 - a) * pb, rel=1e-10)
 
 
 def test_predict_matches_split_functional_route():
@@ -438,7 +421,7 @@ def test_predict_matches_split_functional_route():
         phi2[j] = weights @ (obs.alpha * scene.state_map.mu_of(x))
     belief = session.belief
     split = aq * session.estimate()[0] + (phi1.T @ belief) @ obs.y - phi2 @ belief
-    assert predict_gain(session, obs, q) == pytest.approx(split, rel=1e-10)
+    assert predict_point(session, obs, q) == pytest.approx(split, rel=1e-10)
 
 
 def test_predict_map_matches_pointwise_predict():
@@ -447,7 +430,7 @@ def test_predict_map_matches_pointwise_predict():
     pts = rng.uniform(0, 40, (7, 2))
     out = predict_gain_map(session, obs, QuerySpec(pts))
     for i, q in enumerate(pts):
-        assert out[i] == predict_gain(session, obs, q)
+        assert out[i] == predict_point(session, obs, q)
 
 
 def test_predict_map_future_horizon():
@@ -480,6 +463,6 @@ def test_query_near_reference_rejected():
     session, obs = make_session(rng)
     ref = session.scene.ref_pos
     with pytest.raises(ValueError, match="query point"):
-        predict_gain(session, obs, ref)
+        predict_point(session, obs, ref)
     with pytest.raises(ValueError, match="query point"):
         predict_gain_map(session, obs, QuerySpec(np.vstack([ref + [5.0, 5.0], ref])))
