@@ -25,6 +25,7 @@ from .filtering import DegenerateLikelihoodError
 from .harness import (
     ConfigError,
     PhaseFailure,
+    _phase,
     benchmark_config,
     build,
     build_grid,
@@ -99,7 +100,8 @@ def _require_out_dir(cfg):
 def _cmd_transition(args) -> int:
     cfg = _require_out_dir(_resolve_config(args))
     grid, dyn, _, _ = build(cfg)
-    tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
+    with _phase({}, "transition"):
+        tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "transition.bin"

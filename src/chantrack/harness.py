@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import os
 import struct
 import time
 from collections import namedtuple
@@ -748,7 +749,7 @@ def save_transition(path, transition: TransitionMatrix) -> None:
     header = TRANSITION_MAGIC + struct.pack("<IIq", transition.n_cells, _MODE_TAGS[transition.mode], patched)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(transition.matrix, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(transition.matrix, dtype="<f8")))
 
 
 def load_transition(path) -> TransitionMatrix:
@@ -758,21 +759,25 @@ def load_transition(path) -> TransitionMatrix:
     column count; it is then unknown (``None``), never 0.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] == TRANSITION_MAGIC and len(blob) >= 24:
-        n, tag, patched = struct.unpack("<IIq", blob[8:24])
-        offset = 24
-    elif blob[:8] == _V1_MAGIC and len(blob) >= 16:
-        n, tag = struct.unpack("<II", blob[8:16])
-        patched, offset = -1, 16
-    else:
-        raise ValueError(f"{path}: not a transition matrix file (bad magic)")
-    if tag not in _TAG_MODES:
-        raise ValueError(f"{path}: unknown quantization mode tag {tag}")
-    expected = offset + 8 * n * n
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes for {n} cells, got {len(blob)}")
-    matrix = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(n, n).astype(float)
+        head = fh.read(24)
+        if head[:8] == TRANSITION_MAGIC and len(head) == 24:
+            n, tag, patched = struct.unpack("<IIq", head[8:24])
+            offset = 24
+        elif head[:8] == _V1_MAGIC and len(head) >= 16:
+            n, tag = struct.unpack("<II", head[8:16])
+            patched, offset = -1, 16
+        else:
+            raise ValueError(f"{path}: not a transition matrix file (bad magic)")
+        if tag not in _TAG_MODES:
+            raise ValueError(f"{path}: unknown quantization mode tag {tag}")
+        expected = offset + 8 * n * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:  # checked before the payload is allocated
+            raise ValueError(f"{path}: expected {expected} bytes for {n} cells, got {size}")
+        matrix = np.empty((n, n), dtype="<f8")
+        fh.seek(offset)
+        if fh.readinto(matrix) != size - offset:
+            raise ValueError(f"{path}: file shrank while it was read")
     return TransitionMatrix(matrix, mode=_TAG_MODES[tag], patched_columns=None if patched < 0 else patched)
 
 

@@ -8,10 +8,10 @@ over the cells of a :class:`~chantrack.grid.GridSpec`:
 * ``estimate_transition_markovian`` re-seeds the chain at every cell center
   and quantizes one-step images (requires the transition mapping),
 * ``estimate_transition_marginal`` quantizes long trajectories of the true
-  state and counts cell-to-cell transitions (needs realizations only).  The
-  trajectories are stepped one time step at a time but quantized once per
-  block of ``QUANTIZE_BLOCK`` steps; quantization is elementwise, so the
-  counts are bitwise those of quantizing every step on its own.
+  state and counts cell-to-cell transitions (needs realizations only).  It
+  draws noise, steps, quantizes and counts one block of ``QUANTIZE_BLOCK``
+  steps at a time, so its memory does not grow with the path length, and its
+  result is bitwise that of drawing all noise at once and quantizing per step.
 
 Noise draws use per-cell / per-path sub-streams spawned from the caller's
 generator, so a parallel implementation over cells or paths would reproduce
@@ -57,8 +57,11 @@ class StateDynamics:
     vectorized over leading axes: it receives states of shape ``(..., dim)``
     together with noise draws of shape ``(...)`` (or ``(..., noise_dim)``)
     and returns states of shape ``(..., dim)``.  ``noise_sampler(rng, size)``
-    draws i.i.d. noise with that shape convention.  ``initial`` is the fixed
-    state vector the chain starts from.
+    draws i.i.d. noise with that shape convention; split draws must equal one
+    call (``m`` then ``k`` draws from a generator give the ``m + k`` values of
+    one call), the condition under which the marginal estimator's result,
+    drawn block by block, does not depend on ``QUANTIZE_BLOCK``.  ``initial``
+    is the fixed state vector the chain starts from.
     """
 
     dim: int
@@ -206,30 +209,31 @@ def estimate_transition_marginal(
     counts.  Columns of never-visited cells are patched with the uniform
     distribution; their count is stored on the result and reported as a warning.
 
-    The states of all paths are written into a buffer of ``QUANTIZE_BLOCK``
-    time steps, and each full buffer is quantized by one ``cell_index`` call;
-    no state array grows with ``path_length``.  The result is bitwise the
-    one of quantizing every step on its own.
+    Each block of up to ``QUANTIZE_BLOCK`` steps draws its noise into one
+    time-major ``(steps, n_paths)`` array, is quantized by one ``cell_index``
+    call and is counted; the counts are normalized in place.  Memory is
+    ``O(n_paths * QUANTIZE_BLOCK + n_cells**2)`` whatever ``path_length``.
+    Under the :class:`StateDynamics` split contract the result is bitwise
+    that of drawing each path's noise at once and quantizing every step alone.
     """
     if n_paths < 1 or path_length < 2:
         raise ValueError("need n_paths >= 1 and path_length >= 2")
     rng = as_rng(rng)
+    subs = rng.spawn(n_paths)
     n = grid.n_cells
-    states = np.tile(dyn.initial_state(), (n_paths, 1))
-    noises = np.stack([dyn.noise_sampler(sub, path_length - 1) for sub in rng.spawn(n_paths)])
-
-    idx = np.empty((path_length, n_paths), dtype=np.int64)  # time-major: the pairs below are views, not copies
-    block = np.empty((min(QUANTIZE_BLOCK, path_length), n_paths, dyn.dim))
-    for t in range(path_length):
-        if t:
-            states = dyn.step(states, noises[:, t - 1])
-        k = t % len(block)
-        block[k] = states
-        if k == len(block) - 1 or t == path_length - 1:
-            idx[t - k : t + 1] = cell_index(grid, block[: k + 1])
-
     counts = np.zeros((n, n))
-    np.add.at(counts, (idx[1:].ravel(), idx[:-1].ravel()), 1.0)
+    steps = min(QUANTIZE_BLOCK, path_length - 1)
+    block = np.empty((steps + 1, n_paths, dyn.dim))  # row 0: the state the block steps from
+    block[0] = dyn.initial_state()
+    for start in range(0, path_length - 1, steps):
+        m = min(steps, path_length - 1 - start)
+        noise = np.stack([dyn.noise_sampler(sub, m) for sub in subs], axis=1)  # step k reads the contiguous row k
+        for k in range(m):
+            block[k + 1] = dyn.step(block[k], noise[k])
+        idx = cell_index(grid, block[: m + 1])
+        np.add.at(counts, (idx[1:].ravel(), idx[:-1].ravel()), 1.0)
+        block[0] = block[m]
+
     visits = counts.sum(axis=0)
     unvisited = visits == 0
     patched = int(unvisited.sum())
@@ -240,7 +244,8 @@ def estimate_transition_marginal(
         )
         counts[:, unvisited] = 1.0
         visits = counts.sum(axis=0)
-    return TransitionMatrix(counts / visits, mode="marginal", patched_columns=patched)
+    counts /= visits
+    return TransitionMatrix(counts, mode="marginal", patched_columns=patched)
 
 
 def one_hot_belief(n_cells: int, l: int) -> np.ndarray:

@@ -302,6 +302,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "phase" in err and "track" in err
 
 
+@pytest.mark.parametrize("mode", ["markovian", "marginal"])
+def test_transition_numerical_failure_exit_code(tmp_path, capsys, mode):
+    # a chain that overflows to non-finite states fails in the transition phase, as `experiment` reports it
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    cfg["dynamics"]["gamma"] = 1.7e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["transition", "--config", str(path), "--out", str(tmp_path / "out"), "--mode", mode])
+    assert code == 3
+    assert "numerical failure in phase 'transition'" in capsys.readouterr().err
+
+
 def _leaf_mutations(node, path=()):
     """Every single-leaf mutation of a JSON tree as ``(path, label, new value)``.
 

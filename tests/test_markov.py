@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,6 +221,38 @@ def test_marginal_blocks_match_per_step_quantization(monkeypatch, kind, path_len
     else:
         assert messages == []
     assert len(calls) <= math.ceil(path_length / QUANTIZE_BLOCK) + 1
+
+
+@pytest.mark.parametrize("kind", ["coupled_tanh", "finite_chain"])
+@pytest.mark.parametrize("split", [1, QUANTIZE_BLOCK - 1, QUANTIZE_BLOCK, QUANTIZE_BLOCK + 1])
+def test_builtin_noise_is_the_same_drawn_in_parts(kind, split):
+    # the StateDynamics contract the block-wise marginal estimator relies on
+    dyn, _, _ = _marginal_edge_case(kind)
+    total = 2 * QUANTIZE_BLOCK + 5
+    whole = dyn.noise_sampler(np.random.default_rng(32), total)
+    rng = np.random.default_rng(32)
+    parts = np.concatenate([dyn.noise_sampler(rng, split), dyn.noise_sampler(rng, total - split)])
+    assert np.array_equal(parts, whole)
+
+
+def _marginal_traced_peak(path_length):
+    dyn, grid = coupled_tanh_dynamics(), GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30))
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            estimate_transition_marginal(dyn, grid, n_paths=100, path_length=path_length, rng=33)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_marginal_memory_does_not_grow_with_path_length():
+    # tracemalloc sees numpy's buffers: a longer run may not hold more of them
+    _marginal_traced_peak(2)  # the first call in a process also allocates one-time caches
+    short = _marginal_traced_peak(2 * QUANTIZE_BLOCK + 3)
+    long = _marginal_traced_peak(8 * QUANTIZE_BLOCK)
+    assert long - short < 2**20
 
 
 def test_initial_belief_deterministic_is_one_hot():
