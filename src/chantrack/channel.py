@@ -8,8 +8,10 @@ the model, the isotropic exponential ``theta1 * exp(-d / theta2)``, and
 white multipath noise.  All gains are in dB and all distances in meters;
 no unit conversion happens inside these functions.
 
-The joint shadowing field is drawn one of two ways, chosen from the input
-points alone.  When the distinct sensor and query positions fill a complete
+Observations and the gain-map truth are one draw of the field: an
+observation is the joint draw over the sensors with no query points, so
+co-located sensors share one shadowing value.  The field is drawn one of
+two ways, chosen from the distinct points alone.  When they fill a complete
 regular ``nx x ny`` lattice, it is drawn exactly by circulant embedding
 (Wood & Chan 1994; Dietrich & Newsam 1997): FFTs only, no BLAS, so the
 draw does not depend on the BLAS thread count.  Any other point set, or a
@@ -284,38 +286,9 @@ def _chol_psd(sigma: np.ndarray, theta1: float) -> np.ndarray:
         warnings.warn(
             f"shadowing covariance is not positive definite; retrying with {jitter:.3e} diagonal jitter",
             NumericsWarning,
-            stacklevel=3,
+            stacklevel=5,
         )
         return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
-
-
-def _shadow_draws(factor: np.ndarray, rng: np.random.Generator, size: int | None) -> np.ndarray:
-    n = factor.shape[0]
-    if size is None:
-        return factor @ rng.standard_normal(n)
-    return rng.standard_normal((size, n)) @ factor.T
-
-
-def sample_observation(scene: ChannelScene, t: int, x, rng, size: int | None = None) -> ObservationBatch | tuple:
-    """Draw sensor observations conditional on state ``x``.
-
-    With ``size=None`` returns a single :class:`ObservationBatch`; with an
-    integer ``size`` returns ``(y, alpha)`` where ``y`` has shape
-    ``(size, N)`` (batched draws share one factorization).
-    """
-    rng = as_rng(rng)
-    theta = scene.state_map.theta_of(x)
-    mu = scene.state_map.mu_of(x)
-    alpha = path_loss_coeffs(scene, t)
-    sigma = build_covariance(scene, t, theta)
-    factor = _chol_psd(sigma, theta[0])
-    shadow = _shadow_draws(factor, rng, size)
-    noise_scale = np.sqrt(scene.sigma_xi_sq)
-    if size is None:
-        xi = noise_scale * rng.standard_normal(scene.n_sensors)
-        return ObservationBatch(t=t, y=alpha * mu + shadow + xi, alpha=alpha)
-    xi = noise_scale * rng.standard_normal((size, scene.n_sensors))
-    return alpha * mu + shadow + xi, alpha
 
 
 def _stable_unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +356,33 @@ def _field_draws(theta, points: np.ndarray, rng, size: int | None) -> np.ndarray
             eps = rng.standard_normal((*batch, 2, *lam.shape))
             z = np.fft.fft2(np.sqrt(lam / lam.size) * (eps[..., 0, :, :] + 1j * eps[..., 1, :, :])).real
             return z[..., index[:, 0], index[:, 1]]
-    sigma = kernel_eval(cdist(points, points), theta)
-    return _shadow_draws(_chol_psd(sigma, theta[0]), rng, size)
+    factor = _chol_psd(kernel_eval(cdist(points, points), theta), theta[0])
+    if size is None:
+        return factor @ rng.standard_normal(len(points))
+    return rng.standard_normal((size, len(points))) @ factor.T
+
+
+def _draw(scene: ChannelScene, t: int, x, q: np.ndarray, rng, size: int | None):
+    """The joint draw behind :func:`sample_observation` and :func:`sample_joint_field`; ``q`` is ``(Q, 2)``."""
+    rng = as_rng(rng)
+    theta = scene.state_map.theta_of(x)
+    mu = scene.state_map.mu_of(x)
+    alpha = path_loss_coeffs(scene, t)
+    alpha_q = point_path_loss(scene.ref_pos, q, label="query point") if len(q) else np.empty(0)
+
+    uniq, inverse = _stable_unique_rows(np.vstack([scene.sensors_at(t), q]))
+    shadow = _field_draws(theta, uniq, rng, size)[..., inverse]
+
+    n = scene.n_sensors
+    batch = () if size is None else (size,)
+    y = alpha * mu + shadow[..., :n] + np.sqrt(scene.sigma_xi_sq) * rng.standard_normal((*batch, n))
+    field = alpha_q * mu + shadow[..., n:]
+    return (ObservationBatch(t=t, y=y, alpha=alpha) if size is None else y), field
+
+
+def sample_observation(scene: ChannelScene, t: int, x, rng) -> ObservationBatch:
+    """Draw sensor observations conditional on state ``x``: the joint field draw with no query points."""
+    return _draw(scene, t, x, np.empty((0, 2)), rng, None)[0]
 
 
 def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: int | None = None):
@@ -402,27 +400,7 @@ def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: 
     circulant embedding; otherwise, or when the kernel has no nonnegative
     embedding within the size bound, by a dense Cholesky factorization.
     """
-    rng = as_rng(rng)
-    q = np.asarray(query_points, dtype=float).reshape(-1, 2)
-    theta = scene.state_map.theta_of(x)
-    mu = scene.state_map.mu_of(x)
-    alpha = path_loss_coeffs(scene, t)
-    alpha_q = point_path_loss(scene.ref_pos, q, label="query point") if len(q) else np.empty(0)
-
-    uniq, inverse = _stable_unique_rows(np.vstack([scene.sensors_at(t), q]))
-    shadow = _field_draws(theta, uniq, rng, size)[..., inverse]
-
-    n = scene.n_sensors
-    noise_scale = np.sqrt(scene.sigma_xi_sq)
-    if size is None:
-        xi = noise_scale * rng.standard_normal(n)
-        y = alpha * mu + shadow[:n] + xi
-        field = alpha_q * mu + shadow[n:]
-        return ObservationBatch(t=t, y=y, alpha=alpha), field
-    xi = noise_scale * rng.standard_normal((size, n))
-    y = alpha * mu + shadow[:, :n] + xi
-    field = alpha_q * mu + shadow[:, n:]
-    return y, field
+    return _draw(scene, t, x, np.asarray(query_points, dtype=float).reshape(-1, 2), rng, size)
 
 
 def observation_conditioning(scene: ChannelScene, t: int, thetas) -> float:

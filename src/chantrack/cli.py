@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .filtering import DegenerateLikelihoodError
 from .harness import (
     ConfigError,
     PhaseFailure,
+    _make_out_dir,
     _phase,
     benchmark_config,
     build,
@@ -100,11 +100,9 @@ def _require_out_dir(cfg):
 def _cmd_transition(args) -> int:
     cfg = _require_out_dir(_resolve_config(args))
     grid, dyn, _, _ = build(cfg)
+    path = _make_out_dir(cfg) / "transition.bin"
     with _phase({}, "transition"):
         tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "transition.bin"
     save_transition(path, tm)
     print(f"wrote {path} ({tm.n_cells} cells, mode={tm.mode}, patched_columns={tm.patched_columns})")
     return 0

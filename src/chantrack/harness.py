@@ -581,19 +581,32 @@ def _phase(runtime_s: dict[str, float], name: str):
         runtime_s[name] = runtime_s.get(name, 0.0) + time.perf_counter() - start
 
 
+def _make_out_dir(cfg: ScenarioConfig) -> Path | None:
+    """Create ``cfg.out_dir`` (``None`` when unset); a path that cannot be a directory is a ``ConfigError``."""
+    if cfg.out_dir is None:
+        return None
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir: cannot create directory {cfg.out_dir!r}: {e}") from e
+    return out
+
+
 def run_experiment(
     cfg: ScenarioConfig,
     transition: TransitionMatrix | None = None,
     write_trace: bool = True,
     write_maps: bool = True,
 ) -> RunMetrics:
-    """Run the full pipeline; a faulty config raises ``ConfigError`` from :func:`build` before any phase.
+    """Run the full pipeline; a faulty config or an uncreatable ``out_dir`` raises ``ConfigError`` before any phase.
 
     Passing a precomputed ``transition`` skips the offline estimation phase
     (its budget settings are then ignored).  Artifacts are written only when
     ``cfg.out_dir`` is set; metric computation happens regardless.
     """
     grid, dyn, scene, queries = build(cfg)
+    out = _make_out_dir(cfg)
     rngs = streams(cfg)
     runtime_s: dict[str, float] = {}
 
@@ -646,10 +659,8 @@ def run_experiment(
         resolved_seed=cfg.seed,
     )
 
-    if cfg.out_dir is not None:
+    if out is not None:
         with _phase(runtime_s, "write"):
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             metrics.out_dir = out
             echo = config_to_dict(cfg)
             if write_trace:

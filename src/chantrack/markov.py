@@ -87,8 +87,8 @@ class TransitionMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"transition matrix must be square with at least one cell, got shape {m.shape}")
         if self.mode not in ("markovian", "marginal"):
             raise ValueError(f"unknown quantization mode {self.mode!r}")
         if not (m.min() >= 0.0 and m.max() <= 1.0):  # a NaN entry fails both; no (C, C) temporaries

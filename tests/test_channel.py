@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,8 @@ def test_sample_observation_moments():
     scene = make_scene([[20.0, 8.0], [22.0, 15.0], [30.0, 12.0]], sigma_xi_sq=2.0)
     x = np.array([2.0])
     n = 100_000
-    y, alpha = sample_observation(scene, 0, x, rng, size=n)
-    mean_true = alpha * 2.0
+    y, _ = sample_joint_field(scene, 0, x, np.empty((0, 2)), rng, size=n)
+    mean_true = path_loss_coeffs(scene, 0) * 2.0
     cov_true = build_obs_covariance(scene, 0, [25.0, 10.0])
     se_mean = np.sqrt(np.diag(cov_true) / n)
     assert np.all(np.abs(y.mean(axis=0) - mean_true) <= 3 * se_mean)
@@ -241,11 +242,20 @@ def test_joint_field_query_at_sensor_shares_draw():
     assert np.array_equal(field[picks], obs.y)
 
 
-def test_joint_field_jitter_on_duplicate_sensors():
-    scene = make_scene([[26.0, 10.0], [26.0, 10.0]])
-    with pytest.warns(NumericsWarning):
+def test_colocated_sensors_share_one_draw():
+    scene = make_scene([[26.0, 10.0], [26.0, 10.0], [30.0, 14.0]], sigma_xi_sq=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         obs = sample_observation(scene, 0, np.array([2.0]), np.random.default_rng(0))
-    assert np.all(np.isfinite(obs.y))
+    assert obs.y[0] == obs.y[1] != obs.y[2]
+
+
+def test_chol_psd_retries_singular_covariance_with_jitter():
+    sigma = np.array([[25.0, 25.0], [25.0, 25.0]])
+    with pytest.warns(NumericsWarning, match="jitter"):
+        factor = channel._chol_psd(sigma, 25.0)
+    assert np.all(np.isfinite(factor))
+    assert np.max(np.abs(factor @ factor.T - sigma)) <= 1e-8
 
 
 def test_joint_field_covariance_via_variogram():

@@ -96,12 +96,27 @@ def _transition_fault(blob: bytes, fault: str) -> bytes:
         return b"NOTAGRID" + blob[8:]
     if fault == "wrong_length":
         return blob[:-8]
+    if fault == "mode_tag":
+        return blob[:12] + struct.pack("<I", 9) + blob[16:]
+    if fault == "zero_cells":
+        return blob[:8] + struct.pack("<I", 0) + blob[12:24]
     return blob[:24] + struct.pack("<d", float("nan")) + blob[32:]  # nan_entry
 
 
 @pytest.mark.parametrize("command", ["track", "predict-map"])
-@pytest.mark.parametrize("fault", ["missing", "bad_magic", "wrong_length", "nan_entry", "other_grid"])
-def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, command, fault):
+@pytest.mark.parametrize(
+    "fault, named",
+    [
+        ("missing", "No such file"),
+        ("bad_magic", "bad magic"),
+        ("wrong_length", "expected"),
+        ("nan_entry", "[0, 1]"),
+        ("other_grid", "2 cells"),
+        ("mode_tag", "unknown quantization mode tag 9"),
+        ("zero_cells", "at least one cell"),
+    ],
+)
+def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, command, fault, named):
     # a missing or malformed file, or one for another grid, is a config error: no crash, no run on a bad matrix
     out = tmp_path / "artifacts"
     assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
@@ -113,7 +128,8 @@ def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys,
         bad.write_bytes(_transition_fault((out / "transition.bin").read_bytes(), fault))
     argv = [command, "--config", str(config_path), "--out", str(out), "--transition", str(bad)]
     assert main(argv) == 2
-    assert "--transition" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--transition" in err and named in err
 
 
 def _numeric_leaves(node, path=""):
@@ -190,6 +206,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["experiment", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["experiment", "--config", str(tmp_path / "missing.json")]) == 2
+    bad.write_text(json.dumps(SMALL_CONFIG)[:-1])
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -212,6 +232,8 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
         ("scene", "kernel", {"params": [{"const": -1.0}, {"const": 10.0}]}, "scene.kernel.params[0]"),
         ("scene", "kernel", {"params": [{"state": 1}, {"const": 0.0}]}, "scene.kernel.params[1]"),
         ("scene", "kernel", {"params": [{"state": 1}]}, "scene.kernel.params"),
+        ("scene", "kernel", {"params": [{"state": 1, "const": 25.0}, {"const": 10.0}]}, "params[0] must set exactly one"),
+        ("scene", "kernel", {"params": [{"state": 1}, {}]}, "params[1] must set exactly one"),
         ("scene", "kernel", {"form": "gaussian", "params": [{"state": 1}, {"const": 10.0}]}, "scene.kernel.form"),
         ("grid", "lower", [0.0, -5.0], "scene.kernel.params"),  # shadowing power bound to a range below 0
         ("scene", "sensors", {"kind": "fixed", "positions": [[1.0, 2.0, 3.0]]}, "scene.sensors.positions"),
@@ -223,7 +245,7 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
     ],
 )
 def test_setup_failures_are_config_errors(config_path, tmp_path, capsys, section, field, value, named):
-    # each of these used to pass validation and then fail in phase 'setup' or 'transition' (exit 3)
+    # most of these used to pass validation and then fail in phase 'setup' or 'transition' (exit 3)
     cfg = json.loads(config_path.read_text())
     cfg[section][field] = value
     config_path.write_text(json.dumps(cfg))
@@ -234,6 +256,24 @@ def test_setup_failures_are_config_errors(config_path, tmp_path, capsys, section
 def test_missing_out_dir_is_config_error(config_path, capsys):
     assert main(["experiment", "--config", str(config_path)]) == 2
     assert "out_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transition", "track", "predict-map", "experiment"])
+@pytest.mark.parametrize("out_kind", ["file", "under_file"])
+def test_unusable_out_dir_is_config_error(config_path, tmp_path, capsys, command, out_kind):
+    # an --out that cannot be a directory is refused before any phase runs
+    argv = [command, "--config", str(config_path)]
+    if command in ("track", "predict-map"):
+        assert main(["transition", "--config", str(config_path), "--out", str(tmp_path / "t")]) == 0
+        argv += ["--transition", str(tmp_path / "t" / "transition.bin")]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if out_kind == "file" else blocker / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: out_dir" in err and "phase" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("command", ["transition", "track", "predict-map", "experiment"])
@@ -317,15 +357,18 @@ def test_transition_numerical_failure_exit_code(tmp_path, capsys, mode):
 
 
 def _leaf_mutations(node, path=()):
-    """Every single-leaf mutation of a JSON tree as ``(path, label, new value)``.
+    """Every single-node mutation of a JSON tree as ``(path, label, new value)``.
 
-    A leaf takes a value of each other JSON type; a number flips its sign; a
-    list also grows or shrinks by its last entry.
+    Every node but the root takes a value of each other JSON type; a string
+    also takes another string, a number flips its sign, and a list also
+    grows or shrinks by its last entry.
     """
+    out = [(path, f"type_{type(other).__name__}", other) for other in _OTHER_TYPES if path and type(other) is not type(node)]
     if isinstance(node, dict):
-        return [m for key, value in node.items() for m in _leaf_mutations(value, path + (key,))]
-    out = [(path, f"type_{type(other).__name__}", other) for other in _OTHER_TYPES if type(other) is not type(node)]
-    if isinstance(node, list):
+        out += [m for key, value in node.items() for m in _leaf_mutations(value, path + (key,))]
+    elif isinstance(node, str):
+        out.append((path, "string", node + "_"))
+    elif isinstance(node, list):
         out += [(path, "grow", node + node[-1:]), (path, "shrink", node[:-1])]
         out += [m for i, value in enumerate(node) for m in _leaf_mutations(value, path + (i,))]
     elif isinstance(node, (int, float)) and not isinstance(node, bool):

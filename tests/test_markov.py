@@ -39,6 +39,8 @@ def test_transition_matrix_validation():
         TransitionMatrix(np.array([[1.2, 0.0], [-0.2, 1.0]]), mode="markovian")
     with pytest.raises(ValueError):
         TransitionMatrix(np.eye(2), mode="other")
+    with pytest.raises(ValueError, match="at least one cell"):
+        TransitionMatrix(np.empty((0, 0)), mode="markovian")
     tm = TransitionMatrix(FLIP, mode="marginal")
     assert tm.n_cells == 2
 
