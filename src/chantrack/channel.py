@@ -281,8 +281,6 @@ def _chol_psd(sigma: np.ndarray, theta1: float) -> np.ndarray:
         if not sigma.any():
             return np.zeros_like(sigma)
         jitter = 1e-10 * float(theta1)
-        if jitter <= 0.0:
-            raise
         warnings.warn(
             f"shadowing covariance is not positive definite; retrying with {jitter:.3e} diagonal jitter",
             NumericsWarning,

@@ -8,8 +8,9 @@ Subcommands::
     experiment    run the full pipeline (estimation, tracking, maps, metrics)
     oracle-check  compare the recursion against exhaustive path enumeration
 
-Exit codes: 0 success, 2 configuration validation failure, 3 numerical
-failure (with phase context on stderr).
+Exit codes: 0 success, 2 configuration validation failure (an ``out_dir``
+that cannot be created or written into included), 3 numerical failure (with
+phase context on stderr).
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
-from .filtering import DegenerateLikelihoodError
 from .harness import (
     ConfigError,
     PhaseFailure,
     _make_out_dir,
     _phase,
+    _writing,
     benchmark_config,
     build,
     build_grid,
@@ -103,7 +102,8 @@ def _cmd_transition(args) -> int:
     path = _make_out_dir(cfg) / "transition.bin"
     with _phase({}, "transition"):
         tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
-    save_transition(path, tm)
+    with _writing(cfg):
+        save_transition(path, tm)
     print(f"wrote {path} ({tm.n_cells} cells, mode={tm.mode}, patched_columns={tm.patched_columns})")
     return 0
 
@@ -156,7 +156,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    worst = oracle_check(n_scenarios=args.scenarios, seed=args.seed)
+    with _phase({}, "oracle-check"):
+        worst = oracle_check(n_scenarios=args.scenarios, seed=args.seed)
     status = "OK" if worst <= ORACLE_TOL else "FAIL"
     print(f"oracle-check: max belief error {worst:.3e} over {args.scenarios} scenarios [{status}]")
     return 0 if worst <= ORACLE_TOL else 3
@@ -178,9 +179,6 @@ def main(argv=None) -> int:
         return 2
     except PhaseFailure as e:
         print(f"numerical failure in phase {e.phase!r}: {e.__cause__}", file=sys.stderr)
-        return 3
-    except (np.linalg.LinAlgError, DegenerateLikelihoodError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 
 

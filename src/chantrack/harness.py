@@ -1,9 +1,12 @@
 """Scenario configuration, the bundled benchmark experiment, metrics and file IO.
 
 A scenario is described by a single hierarchical JSON document (all fields
-snake_case, unknown fields rejected); it is valid exactly when ``build``
-can construct the objects a run uses from it.  ``streams`` owns the seed
-layout and ``simulate`` draws the truth and its observations.
+snake_case, unknown fields rejected), one object per config dataclass.  A
+field is required exactly when its dataclass field has no default; an absent
+optional field takes that default.  The document is valid exactly when
+``build`` can construct the objects a run uses from it; an ``out_dir`` that
+cannot be created or written into is a ``ConfigError`` as well.  ``streams``
+owns the seed layout and ``simulate`` draws the truth and its observations.
 ``run_experiment`` drives the whole pipeline: estimate the transition
 matrix offline, simulate, run the tracking filter, predict gain maps at
 snapshot times and write the artifacts:
@@ -114,7 +117,7 @@ _SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _convert(value, path: str, kind, depth: int = 0):
-    """``value`` as ``kind`` nested ``depth`` lists deep; a nested config's reader is called.
+    """``value`` as ``kind`` nested ``depth`` lists deep; a config section is read by :func:`_read`.
 
     No JSON type is coerced into another (a string is not a number or a
     list, a bool is not a number), except that an integer reads as a float.
@@ -124,6 +127,8 @@ def _convert(value, path: str, kind, depth: int = 0):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be a list, got {value!r}")
         return tuple(_convert(v, f"{path}[{i}]", kind, depth - 1) for i, v in enumerate(value))
+    if dataclasses.is_dataclass(kind):
+        return _read(value, path, kind)
     if kind not in _SCALARS:
         return kind(value, path)
     if isinstance(value, bool) or not isinstance(value, _SCALARS[kind]):
@@ -137,38 +142,11 @@ def _convert(value, path: str, kind, depth: int = 0):
     return out
 
 
-def _read(data, path: str, fields: dict, required=()) -> dict:
-    """The fields of the JSON object ``data`` as keyword arguments.
-
-    ``fields`` maps each allowed name to ``kind`` or ``(kind, depth)`` for
-    :func:`_convert`.  Unknown, missing required or mistyped fields raise
-    ``ConfigError`` naming the field; absent optional ones are left out, so
-    the dataclass defaults apply.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    out = {}
-    for key, value in data.items():
-        if key not in fields:
-            raise ConfigError(f"unknown field {key!r} in {path}")
-        kind, depth = fields[key] if isinstance(fields[key], tuple) else (fields[key], 0)
-        out[key] = _convert(value, f"{path}.{key}", kind, depth)
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"missing field {key!r} in {path}")
-    return out
-
-
 @dataclass(frozen=True)
 class GridConfig:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     cells: tuple[int, ...]
-
-    @staticmethod
-    def from_dict(data, path="grid"):
-        fields = {"lower": (float, 1), "upper": (float, 1), "cells": (int, 1)}
-        return GridConfig(**_read(data, path, fields, required=fields))
 
 
 @dataclass(frozen=True)
@@ -180,27 +158,12 @@ class DynamicsConfig:
     matrix: tuple | None = None
     initial_index: int = 0
 
-    @staticmethod
-    def from_dict(data, path="dynamics"):
-        fields = {
-            "kind": str, "gamma": float, "initial_state": (float, 1), "points": (float, 2), "matrix": (float, 2),
-            "initial_index": int,
-        }
-        cfg = DynamicsConfig(**_read(data, path, fields, required=("kind",)))
-        if cfg.kind not in ("coupled_tanh", "finite_chain"):
-            raise ConfigError(f"{path}.kind must be 'coupled_tanh' or 'finite_chain', got {cfg.kind!r}")
-        return cfg
-
 
 @dataclass(frozen=True)
 class TransitionBudget:
     samples_per_cell: int = 10_000
     n_paths: int = 100
     path_length: int = 10_000
-
-    @staticmethod
-    def from_dict(data, path="transition"):
-        return TransitionBudget(**_read(data, path, {"samples_per_cell": int, "n_paths": int, "path_length": int}))
 
 
 @dataclass(frozen=True)
@@ -209,30 +172,11 @@ class SensorConfig:
     n: int = 30
     positions: tuple | None = None
 
-    @staticmethod
-    def from_dict(data, path="scene.sensors"):
-        cfg = SensorConfig(**_read(data, path, {"kind": str, "n": int, "positions": (float, 2)}, required=("kind",)))
-        if cfg.kind not in ("lattice", "fixed"):
-            raise ConfigError(f"{path}.kind must be 'lattice' or 'fixed', got {cfg.kind!r}")
-        return cfg
-
-
-def _kernel_binding(data, path: str) -> tuple:
-    """One kernel parameter binding, ``{"state": i}`` or ``{"const": v}``, as ``(tag, value)``."""
-    binding = _read(data, path, {"state": int, "const": float})
-    if len(binding) != 1:
-        raise ConfigError(f"{path} must set exactly one of 'state' or 'const'")
-    return next(iter(binding.items()))
-
 
 @dataclass(frozen=True)
 class KernelConfig:
+    params: tuple
     form: str = "exponential-isotropic"
-    params: tuple = ()
-
-    @staticmethod
-    def from_dict(data, path="scene.kernel"):
-        return KernelConfig(**_read(data, path, {"form": str, "params": (_kernel_binding, 1)}, required=("params",)))
 
 
 @dataclass(frozen=True)
@@ -243,25 +187,12 @@ class SceneConfig:
     kernel: KernelConfig
     mu_index: int = 0
 
-    @staticmethod
-    def from_dict(data, path="scene"):
-        fields = {
-            "ref_pos": (float, 1), "sensors": SensorConfig.from_dict, "sigma_xi_sq": float,
-            "kernel": KernelConfig.from_dict, "mu_index": int,
-        }
-        return SceneConfig(**_read(data, path, fields, required=("ref_pos", "sensors", "sigma_xi_sq", "kernel")))
-
 
 @dataclass(frozen=True)
 class QueryGridConfig:
     nx: int
     ny: int
     region: tuple[tuple[float, float], tuple[float, float]]
-
-    @staticmethod
-    def from_dict(data, path="query_grid"):
-        fields = {"nx": int, "ny": int, "region": (float, 2)}
-        return QueryGridConfig(**_read(data, path, fields, required=fields))
 
 
 @dataclass(frozen=True)
@@ -284,22 +215,61 @@ class ScenarioConfig:
         return self
 
 
+def _kernel_binding(data, path: str) -> tuple:
+    """One kernel parameter binding, ``{"state": i}`` or ``{"const": v}``, as ``(tag, value)``."""
+    if not isinstance(data, dict) or len(data) != 1:
+        raise ConfigError(f"{path} must set exactly one of 'state' or 'const'")
+    ((tag, value),) = data.items()
+    if tag not in ("state", "const"):
+        raise ConfigError(f"unknown field {tag!r} in {path}")
+    return tag, _convert(value, f"{path}.{tag}", int if tag == "state" else float)
+
+
+# Each config section's JSON fields as ``kind`` or ``(kind, depth)`` for :func:`_convert`.
+_KINDS = {
+    GridConfig: {"lower": (float, 1), "upper": (float, 1), "cells": (int, 1)},
+    DynamicsConfig: {
+        "kind": str, "gamma": float, "initial_state": (float, 1), "points": (float, 2), "matrix": (float, 2),
+        "initial_index": int,
+    },
+    TransitionBudget: {"samples_per_cell": int, "n_paths": int, "path_length": int},
+    SensorConfig: {"kind": str, "n": int, "positions": (float, 2)},
+    KernelConfig: {"params": (_kernel_binding, 1), "form": str},
+    SceneConfig: {
+        "ref_pos": (float, 1), "sensors": SensorConfig, "sigma_xi_sq": float, "kernel": KernelConfig, "mu_index": int,
+    },
+    QueryGridConfig: {"nx": int, "ny": int, "region": (float, 2)},
+    ScenarioConfig: {
+        "grid": GridConfig, "dynamics": DynamicsConfig, "quantization": str, "scene": SceneConfig, "timesteps": int,
+        "query_grid": QueryGridConfig, "seed": int, "transition": TransitionBudget, "horizon": int,
+        "map_snapshots": (int, 1), "out_dir": str,
+    },
+}
+
+
+def _read(data, path: str, cls):
+    """The config section ``cls`` read from the JSON object ``data`` at ``path``.
+
+    Unknown, missing or mistyped fields raise ``ConfigError`` naming the
+    field.  A field is required exactly when its dataclass field has no
+    default; an absent optional one takes that default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be an object")
+    kinds, out = _KINDS[cls], {}
+    for key, value in data.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown field {key!r} in {path}")
+        kind, depth = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key], 0)
+        out[key] = _convert(value, f"{path}.{key}", kind, depth)
+    for f in dataclasses.fields(cls):
+        if f.default is f.default_factory is dataclasses.MISSING and f.name not in data:
+            raise ConfigError(f"missing field {f.name!r} in {path}")
+    return cls(**out)
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
-    fields = {
-        "grid": GridConfig.from_dict,
-        "dynamics": DynamicsConfig.from_dict,
-        "quantization": str,
-        "scene": SceneConfig.from_dict,
-        "timesteps": int,
-        "query_grid": QueryGridConfig.from_dict,
-        "seed": int,
-        "transition": TransitionBudget.from_dict,
-        "horizon": int,
-        "map_snapshots": (int, 1),
-        "out_dir": str,
-    }
-    required = ("grid", "dynamics", "quantization", "scene", "timesteps", "query_grid", "seed")
-    return ScenarioConfig(**_read(data, "config", fields, required)).validate()
+    return _read(data, "config", ScenarioConfig).validate()
 
 
 def config_from_json(path) -> ScenarioConfig:
@@ -314,19 +284,9 @@ def config_from_json(path) -> ScenarioConfig:
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain-JSON echo of a configuration (inverse of ``config_from_dict``)."""
-    out = dataclasses.asdict(cfg)
-    out["scene"]["kernel"]["params"] = [
-        {tag: value} for tag, value in cfg.scene.kernel.params
-    ]
-    for key in ("points", "matrix"):
-        if out["dynamics"][key] is None:
-            del out["dynamics"][key]
-    if cfg.scene.sensors.positions is None:
-        del out["scene"]["sensors"]["positions"]
-    if out["out_dir"] is None:
-        del out["out_dir"]
-    out["map_snapshots"] = list(out["map_snapshots"])
+    """Plain-JSON echo of a configuration (inverse of ``config_from_dict``); unset (``None``) fields are left out."""
+    out = dataclasses.asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    out["scene"]["kernel"]["params"] = [{tag: value} for tag, value in cfg.scene.kernel.params]
     return out
 
 
@@ -438,8 +398,15 @@ def build(cfg: ScenarioConfig):
     fields; the checks written here are those no constructor makes.  Lattice
     sensors are drawn from the run's own sensor stream.
     """
-    if cfg.quantization not in ("markovian", "marginal"):
-        raise ConfigError(f"quantization must be 'markovian' or 'marginal', got {cfg.quantization!r}")
+    sc = cfg.scene
+    for name, value, allowed in (
+        ("quantization", cfg.quantization, ("markovian", "marginal")),
+        ("dynamics.kind", cfg.dynamics.kind, ("coupled_tanh", "finite_chain")),
+        ("scene.sensors.kind", sc.sensors.kind, ("lattice", "fixed")),
+        ("scene.kernel.form", sc.kernel.form, ("exponential-isotropic",)),
+    ):
+        if value not in allowed:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
     for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
         if getattr(cfg.transition, name) < least:
             raise ConfigError(f"transition.{name} must be >= {least}")
@@ -460,9 +427,6 @@ def build(cfg: ScenarioConfig):
         dyn = build_dynamics(cfg)
     if dyn.dim != grid.ndim:
         raise ConfigError(f"dynamics ({d.kind}) has {dyn.dim}-dimensional states; the grid has {grid.ndim} dimensions")
-    sc = cfg.scene
-    if sc.kernel.form != "exponential-isotropic":
-        raise ConfigError(f"scene.kernel.form must be 'exponential-isotropic', got {sc.kernel.form!r}")
     if len(sc.kernel.params) != 2:
         raise ConfigError("scene.kernel.params must have 2 entries (shadowing power, correlation distance)")
     (power_tag, power), (dist_tag, dist) = sc.kernel.params
@@ -539,41 +503,23 @@ class RunMetrics:
     artifacts: list[Path] = field(default_factory=list)
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def _write_state_trace(path: Path, times, truths, estimates):
-    m = truths.shape[1]
-    header = (
-        "t,"
-        + ",".join(f"true_x{i + 1}" for i in range(m))
-        + ","
-        + ",".join(f"est_x{i + 1}" for i in range(m))
-    )
-    lines = [header]
-    for t, tru, est in zip(times, truths, estimates):
-        lines.append(f"{int(t)}," + _format_row(tru) + "," + _format_row(est))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_map(path: Path, points, true_gain, pred_gain):
-    lines = ["qx_m,qy_m,true_gain_db,pred_gain_db"]
-    for (qx, qy), tg, pg in zip(points, true_gain, pred_gain):
-        lines.append(_format_row((qx, qy, tg, pg)))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header, rows) -> None:
+    """The column names, then one line per row: a Python ``int`` as is, any other value as ``repr(float(v))``."""
+    cells = (",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) for row in rows)
+    path.write_text("\n".join([",".join(header), *cells]) + "\n")
 
 
 @contextmanager
 def _phase(runtime_s: dict[str, float], name: str):
     """Add the phase's elapsed time to ``runtime_s[name]`` and raise its failures as ``PhaseFailure``.
 
-    A ``PhaseFailure`` from a nested phase passes through, keeping the inner name.
+    A ``PhaseFailure`` from a nested phase passes through, keeping the inner
+    name, and so does a ``ConfigError``.
     """
     start = time.perf_counter()
     try:
         yield
-    except PhaseFailure:
+    except (PhaseFailure, ConfigError):
         raise
     except Exception as e:
         raise PhaseFailure(name, e) from e
@@ -581,15 +527,22 @@ def _phase(runtime_s: dict[str, float], name: str):
         runtime_s[name] = runtime_s.get(name, 0.0) + time.perf_counter() - start
 
 
+@contextmanager
+def _writing(cfg: ScenarioConfig):
+    """Raise an ``OSError`` from creating or writing into ``cfg.out_dir`` as a ``ConfigError`` naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"out_dir: cannot write to {cfg.out_dir!r}: {e}") from e
+
+
 def _make_out_dir(cfg: ScenarioConfig) -> Path | None:
     """Create ``cfg.out_dir`` (``None`` when unset); a path that cannot be a directory is a ``ConfigError``."""
     if cfg.out_dir is None:
         return None
     out = Path(cfg.out_dir)
-    try:
+    with _writing(cfg):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"out_dir: cannot create directory {cfg.out_dir!r}: {e}") from e
     return out
 
 
@@ -616,8 +569,6 @@ def run_experiment(
     with _phase(runtime_s, "transition"):
         if transition is None:
             transition = estimate_transition(cfg, dyn, grid, rngs.transition)
-        elif transition.n_cells != grid.n_cells:
-            raise ValueError("provided transition matrix does not match the grid")
 
     with _phase(runtime_s, "simulate"):
         T, rho = cfg.timesteps, cfg.horizon
@@ -660,18 +611,20 @@ def run_experiment(
     )
 
     if out is not None:
-        with _phase(runtime_s, "write"):
+        with _phase(runtime_s, "write"), _writing(cfg):
             metrics.out_dir = out
-            echo = config_to_dict(cfg)
             if write_trace:
-                trace = out / "state_trace.csv"
-                _write_state_trace(trace, times, truths, estimates)
-                metrics.artifacts.append(trace)
+                m = truths.shape[1]
+                header = ["t", *(f"true_x{i + 1}" for i in range(m)), *(f"est_x{i + 1}" for i in range(m))]
+                rows = ((int(t), *tru, *est) for t, tru, est in zip(times, truths, estimates))
+                _write_csv(out / "state_trace.csv", header, rows)
+                metrics.artifacts.append(out / "state_trace.csv")
             if write_maps:
                 for k in sorted(pred_maps):
-                    map_path = out / f"map_t{k}.csv"
-                    _write_map(map_path, queries, true_fields[k], pred_maps[k])
-                    metrics.artifacts.append(map_path)
+                    rows = np.column_stack([queries, true_fields[k], pred_maps[k]])
+                    _write_csv(out / f"map_t{k}.csv", ["qx_m", "qy_m", "true_gain_db", "pred_gain_db"], rows)
+                    metrics.artifacts.append(out / f"map_t{k}.csv")
+            echo = config_to_dict(cfg)
             payload = {
                 "rmse_state": [float(v) for v in rmse_state],
                 "rmse_map": {str(k): v for k, v in rmse_map.items()},
@@ -683,9 +636,9 @@ def run_experiment(
                 "resolved_seed": cfg.seed,
                 "config": echo,
             }
-            (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            (out / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
-            metrics.artifacts += [out / "metrics.json", out / "config_echo.json"]
+            for name, doc in (("metrics.json", payload), ("config_echo.json", echo)):
+                (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+                metrics.artifacts.append(out / name)
     return metrics
 
 

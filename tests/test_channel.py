@@ -413,3 +413,17 @@ def test_state_map_bindings():
     assert np.array_equal(m.theta_of(x), [[25.0, 10.0], [26.0, 10.0]])
     with pytest.raises(ValueError):
         StateToChannelMap(mu_index=1, theta_bindings=(StateCoord(1), 10.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StateToChannelMap(mu_index=-1, theta_bindings=(25.0, 10.0)), "mu_index must be >= 0"),
+        (lambda: make_scene([[26.0, np.nan]]), "positions must be finite"),
+        (lambda: make_scene(np.full((2, 1, 2), 30.0)).sensors_at(2), "no scripted sensor positions for time 2"),
+    ],
+    ids=["negative_mu_index", "non_finite_sensor", "scripted_time_beyond_script"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

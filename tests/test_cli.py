@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chantrack import cli
 from chantrack.cli import main
 from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict, save_transition
 from chantrack.markov import TransitionMatrix
@@ -258,22 +259,38 @@ def test_missing_out_dir_is_config_error(config_path, capsys):
     assert "out_dir" in capsys.readouterr().err
 
 
+FIRST_ARTIFACT = {
+    "transition": "transition.bin",
+    "track": "state_trace.csv",
+    "predict-map": "map_t5.csv",
+    "experiment": "state_trace.csv",
+}
+
+
 @pytest.mark.parametrize("command", ["transition", "track", "predict-map", "experiment"])
-@pytest.mark.parametrize("out_kind", ["file", "under_file"])
+@pytest.mark.parametrize("out_kind", ["file", "under_file", "artifact_is_dir"])
 def test_unusable_out_dir_is_config_error(config_path, tmp_path, capsys, command, out_kind):
-    # an --out that cannot be a directory is refused before any phase runs
+    # an --out that cannot be a directory is refused before any phase runs; an artifact
+    # path that is a directory is refused when it is written, not called a numerical failure
     argv = [command, "--config", str(config_path)]
     if command in ("track", "predict-map"):
         assert main(["transition", "--config", str(config_path), "--out", str(tmp_path / "t")]) == 0
         argv += ["--transition", str(tmp_path / "t" / "transition.bin")]
     blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory")
-    out = blocker if out_kind == "file" else blocker / "out"
+    if out_kind == "artifact_is_dir":
+        out = tmp_path / "out"
+        (out / FIRST_ARTIFACT[command]).mkdir(parents=True)
+    else:
+        blocker.write_text("not a directory")
+        out = blocker if out_kind == "file" else blocker / "out"
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: out_dir" in err and "phase" not in err
-    assert blocker.read_text() == "not a directory"
+    if out_kind == "artifact_is_dir":
+        assert FIRST_ARTIFACT[command] in err
+    else:
+        assert blocker.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("command", ["transition", "track", "predict-map", "experiment"])
@@ -308,6 +325,27 @@ def test_seed_override_changes_artifacts(config_path, tmp_path):
 def test_oracle_check_command(capsys):
     assert main(["oracle-check", "--scenarios", "3", "--seed", "7"]) == 0
     assert "oracle-check" in capsys.readouterr().out
+
+
+def test_oracle_check_numerical_failure_exit_code(monkeypatch, capsys):
+    def singular(**_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(cli, "oracle_check", singular)
+    assert main(["oracle-check", "--scenarios", "2"]) == 3
+    assert "numerical failure in phase 'oracle-check'" in capsys.readouterr().err
+
+
+def test_predict_map_without_snapshots(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
+    cfg = json.loads(config_path.read_text())
+    cfg["map_snapshots"] = []
+    config_path.write_text(json.dumps(cfg))
+    argv = ["predict-map", "--config", str(config_path), "--out", str(out), "--transition", str(out / "transition.bin")]
+    assert main(argv) == 0
+    assert "no map snapshots configured; nothing to write" in capsys.readouterr().err
+    assert not list(out.glob("map_t*.csv"))
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

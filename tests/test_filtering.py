@@ -334,3 +334,35 @@ def test_brute_force_budget():
     grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 1, 12)
     with pytest.raises(ValueError, match="budget"):
         brute_force_posterior(grid, tm, scene, observations, prior)
+
+
+
+LINE = GridSpec((0.0,), (1.0,), (2,))
+
+
+def line_filter(p=FLIP, mu_index=0, n_belief=2):
+    """A filter on a two-cell line with one sensor; the arguments break one of its inputs."""
+    scene = const_theta_scene([[26.0, 10.0]], mu_index=mu_index)
+    return GridFilter(LINE, TransitionMatrix(p, mode="markovian"), scene, uniform_belief(n_belief))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: line_filter(p=np.eye(3)), "transition matrix size does not match the grid"),
+        (lambda: line_filter(mu_index=1), "state map binds coordinates beyond the grid dimension"),
+        (lambda: line_filter(n_belief=3), "initial belief length must equal the cell count"),
+        (
+            lambda: line_filter().likelihood_vector(ObservationBatch(t=0, y=[-3.0, -4.0], alpha=[-1.0, -2.0])),
+            "observation dimension does not match the scene",
+        ),
+        (
+            lambda: brute_force_posterior(LINE, line_filter().transition, line_filter().scene, [], uniform_belief(2)),
+            "need at least one observation",
+        ),
+    ],
+    ids=["transition_size", "state_map_beyond_grid", "belief_length", "observation_dimension", "no_observations"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -113,3 +113,13 @@ def test_single_cell_grid():
     m = reconstruction_matrix(g)
     assert m.shape == (2, 1)
     assert np.allclose(m[:, 0], [2.0, 25.3])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: cell_index(GridSpec((0.0, 0.0), (1.0, 1.0), (2, 2)), [0.5]), r"expected state of dimension 2, got shape")],
+    ids=["state_dimension"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

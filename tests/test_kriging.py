@@ -466,3 +466,19 @@ def test_query_near_reference_rejected():
         predict_point(session, obs, ref)
     with pytest.raises(ValueError, match="query point"):
         predict_gain_map(session, obs, QuerySpec(np.vstack([ref + [5.0, 5.0], ref])))
+
+
+def _map_with_wrong_observation_size():
+    session, obs = make_session(np.random.default_rng(15), n_sensors=3)
+    wrong = ObservationBatch(t=obs.t, y=obs.y[:2], alpha=obs.alpha[:2])
+    return predict_gain_map(session, wrong, QuerySpec(np.array([[5.0, 5.0]])))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(_map_with_wrong_observation_size, "observation dimension does not match the scene")],
+    ids=["observation_dimension"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -341,3 +341,22 @@ def test_finite_chain_dynamics_distribution():
     nxt = dyn.step(np.tile([0.0, 0.0], (20_000, 1)), w)
     flipped = np.mean(nxt[:, 0] == 1.0)
     assert abs(flipped - 0.3) < 0.02
+
+
+LINE = GridSpec((0.0,), (1.0,), (2,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: finite_chain_dynamics([0.25, 0.75], FLIP), "points must be a 2-D array"),
+        (lambda: estimate_transition_markovian(identity_dynamics(), LINE, 0, rng=0), "samples_per_cell must be >= 1"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 0, 10, rng=0), "need n_paths >= 1"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 1, 1, rng=0), "path_length >= 2"),
+        (lambda: simulate_trajectory(identity_dynamics(), -1, 0), "T must be >= 0"),
+    ],
+    ids=["flat_chain_points", "markovian_samples", "marginal_paths", "marginal_path_length", "negative_steps"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
