@@ -47,6 +47,7 @@ __all__ = [
     "gaussian_unnormalized_loglik",
     "sample_observation",
     "sample_joint_field",
+    "kernel_basis",
     "observation_conditioning",
 ]
 
@@ -401,17 +402,28 @@ def sample_joint_field(scene: ChannelScene, t: int, x, query_points, rng, size: 
     return _draw(scene, t, x, np.asarray(query_points, dtype=float).reshape(-1, 2), rng, size)
 
 
+def kernel_basis(scene: ChannelScene, t: int, theta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(lam, U)`` of the unit-power kernel ``exp(-d / theta2)`` over the sensors at time ``t``.
+
+    ``lam`` ascends.  Every observation covariance of this correlation
+    distance shares the basis: ``theta1 R + sigma_xi_sq I = U diag(theta1 lam + sigma_xi_sq) U^T``.
+    """
+    return np.linalg.eigh(kernel_eval(scene.sensor_distances(t), (1.0, theta2)))
+
+
 def observation_conditioning(scene: ChannelScene, t: int, thetas) -> float:
     """Smallest observation-covariance eigenvalue over the given parameter rows.
 
-    A value at or below 1 is reported as a warning (the filter tolerates it;
-    rescaling the observations restores the margin).
+    It is ``min_u (theta1_u lam_min + sigma_xi_sq)``, with ``lam_min`` from
+    one :func:`kernel_basis` per distinct ``theta2``.  A value at or below 1
+    is reported as a warning (the filter tolerates it; rescaling the
+    observations restores the margin).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    lam = np.inf
-    for th in np.unique(thetas, axis=0):
-        c = build_obs_covariance(scene, t, th)
-        lam = min(lam, float(np.linalg.eigvalsh(c)[0]))
+    kernel_eval(0.0, thetas)
+    ranges, range_class = np.unique(thetas[:, 1], return_inverse=True)
+    lam_min = np.array([kernel_basis(scene, t, distance)[0][0] for distance in ranges])
+    lam = float(np.min(thetas[:, 0] * lam_min[range_class] + scene.sigma_xi_sq))
     if lam <= 1.0:
         warnings.warn(
             f"observation covariance eigenvalue floor {lam:.4g} <= 1; consider rescaling observations",
@@ -419,4 +431,3 @@ def observation_conditioning(scene: ChannelScene, t: int, thetas) -> float:
             stacklevel=2,
         )
     return lam
-

@@ -99,7 +99,7 @@ def _require_out_dir(cfg):
 def _cmd_transition(args) -> int:
     cfg = _require_out_dir(_resolve_config(args))
     grid, dyn, _, _ = build(cfg)
-    path = _make_out_dir(cfg) / "transition.bin"
+    path = _make_out_dir(cfg, ["transition.bin"]) / "transition.bin"
     with _phase({}, "transition"):
         tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
     with _writing(cfg):

@@ -115,14 +115,11 @@ class GridFilter:
         return len(self.reset_events)
 
     def _build_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per parameter group, the covariance's Cholesky factor ``(G, N, N)`` and log-determinant ``(G,)``."""
         covs = np.stack([build_obs_covariance(self.scene, t, theta) for theta in self.group_thetas])
         factors = np.linalg.cholesky(covs)
         logdets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
         return factors, logdets
-
-    def factors_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per parameter group, the observation covariance's Cholesky factor ``(G, N, N)`` and log-determinant ``(G,)``."""
-        return self._cached_factors if self.scene.static else self._build_factors(t)
 
     def likelihood_vector(self, obs: ObservationBatch) -> np.ndarray:
         """Per-cell observation likelihoods rescaled so the largest entry is 1.
@@ -133,7 +130,7 @@ class GridFilter:
         """
         if obs.n_sensors != self.scene.n_sensors:
             raise ValueError("observation dimension does not match the scene")
-        factors, logdets = self.factors_at(obs.t)
+        factors, logdets = self._cached_factors if self.scene.static else self._build_factors(obs.t)
         rhs = np.column_stack([obs.y, obs.alpha])
         z = np.stack([solve_triangular(factor, rhs, lower=True, check_finite=False) for factor in factors])
         sums = np.einsum("gni,gnj->gij", z, z)[self.group_index]

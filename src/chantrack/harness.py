@@ -5,7 +5,8 @@ snake_case, unknown fields rejected), one object per config dataclass.  A
 field is required exactly when its dataclass field has no default; an absent
 optional field takes that default.  The document is valid exactly when
 ``build`` can construct the objects a run uses from it; an ``out_dir`` that
-cannot be created or written into is a ``ConfigError`` as well.  ``streams``
+cannot be created or written into is a ``ConfigError`` as well, and a
+directory at any artifact path is one before the first phase.  ``streams``
 owns the seed layout and ``simulate`` draws the truth and its observations.
 ``run_experiment`` drives the whole pipeline: estimate the transition
 matrix offline, simulate, run the tracking filter, predict gain maps at
@@ -15,7 +16,9 @@ snapshot times and write the artifacts:
 * ``map_t<k>.csv``      -- ``qx_m, qy_m, true_gain_db, pred_gain_db``
 * ``metrics.json``      -- RMSEs, resets, phase runtimes, resolved seed, config echo,
   and filter health: ``observation_conditioning`` (the smallest
-  observation-covariance eigenvalue over the grid's kernel parameters),
+  observation-covariance eigenvalue over the grid's kernel parameters,
+  ``min_u (theta1_u lam_min + sigma_xi_sq)`` with ``lam_min`` from one
+  kernel eigenbasis per correlation distance),
   ``reset_times`` (the timesteps of belief resets) and ``patched_columns``
   (transition columns patched uniform for never-visited cells; ``null``
   for a matrix read from an older file that does not carry the count)
@@ -63,7 +66,6 @@ from .markov import (
     finite_chain_dynamics,
     horizon_steps,
     initial_belief,
-    propagate_profile,
     simulate_trajectory,
 )
 
@@ -92,8 +94,6 @@ __all__ = [
     "streams",
     "simulate",
     "run_experiment",
-    "prior_baseline",
-    "l_sweep",
     "save_transition",
     "load_transition",
     "random_small_scenario",
@@ -536,13 +536,21 @@ def _writing(cfg: ScenarioConfig):
         raise ConfigError(f"out_dir: cannot write to {cfg.out_dir!r}: {e}") from e
 
 
-def _make_out_dir(cfg: ScenarioConfig) -> Path | None:
-    """Create ``cfg.out_dir`` (``None`` when unset); a path that cannot be a directory is a ``ConfigError``."""
+def _make_out_dir(cfg: ScenarioConfig, artifacts=()) -> Path | None:
+    """Create ``cfg.out_dir`` (``None`` when unset) for the named ``artifacts``.
+
+    A path that cannot be a directory, or a directory at an artifact's
+    path, is a ``ConfigError``; so a run checks every path it will write
+    before its first phase.
+    """
     if cfg.out_dir is None:
         return None
     out = Path(cfg.out_dir)
     with _writing(cfg):
         out.mkdir(parents=True, exist_ok=True)
+    for name in artifacts:
+        if (out / name).is_dir():
+            raise ConfigError(f"out_dir: cannot write to {cfg.out_dir!r}: {name} is a directory")
     return out
 
 
@@ -552,14 +560,18 @@ def run_experiment(
     write_trace: bool = True,
     write_maps: bool = True,
 ) -> RunMetrics:
-    """Run the full pipeline; a faulty config or an uncreatable ``out_dir`` raises ``ConfigError`` before any phase.
+    """Run the full pipeline.
 
-    Passing a precomputed ``transition`` skips the offline estimation phase
-    (its budget settings are then ignored).  Artifacts are written only when
+    A faulty config, an uncreatable ``out_dir`` or a directory at a path the
+    run will write raises ``ConfigError`` before any phase.  Passing a
+    precomputed ``transition`` skips the offline estimation phase (its
+    budget settings are then ignored).  Artifacts are written only when
     ``cfg.out_dir`` is set; metric computation happens regardless.
     """
     grid, dyn, scene, queries = build(cfg)
-    out = _make_out_dir(cfg)
+    maps = [f"map_t{k}.csv" for k in sorted(cfg.map_snapshots)] if write_maps else []
+    artifacts = (["state_trace.csv"] if write_trace else []) + maps + ["metrics.json", "config_echo.json"]
+    out = _make_out_dir(cfg, artifacts)
     rngs = streams(cfg)
     runtime_s: dict[str, float] = {}
 
@@ -612,18 +624,15 @@ def run_experiment(
 
     if out is not None:
         with _phase(runtime_s, "write"), _writing(cfg):
-            metrics.out_dir = out
             if write_trace:
                 m = truths.shape[1]
                 header = ["t", *(f"true_x{i + 1}" for i in range(m)), *(f"est_x{i + 1}" for i in range(m))]
                 rows = ((int(t), *tru, *est) for t, tru, est in zip(times, truths, estimates))
                 _write_csv(out / "state_trace.csv", header, rows)
-                metrics.artifacts.append(out / "state_trace.csv")
             if write_maps:
                 for k in sorted(pred_maps):
                     rows = np.column_stack([queries, true_fields[k], pred_maps[k]])
                     _write_csv(out / f"map_t{k}.csv", ["qx_m", "qy_m", "true_gain_db", "pred_gain_db"], rows)
-                    metrics.artifacts.append(out / f"map_t{k}.csv")
             echo = config_to_dict(cfg)
             payload = {
                 "rmse_state": [float(v) for v in rmse_state],
@@ -638,63 +647,8 @@ def run_experiment(
             }
             for name, doc in (("metrics.json", payload), ("config_echo.json", echo)):
                 (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-                metrics.artifacts.append(out / name)
+        metrics.out_dir, metrics.artifacts = out, [out / name for name in artifacts]
     return metrics
-
-
-def prior_baseline(cfg: ScenarioConfig, transition: TransitionMatrix | None = None) -> np.ndarray:
-    """Observation-free estimates: the prior chain pushed through time.
-
-    Row ``t`` is the estimate a filter would produce at observation time
-    ``t`` had it never seen data.  Uses the same derived transition stream
-    as ``run_experiment``, so a paired run shares the transition matrix.
-    """
-    grid, dyn, _, _ = build(cfg)
-    if transition is None:
-        transition = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
-    X_rho = propagate_profile(reconstruction_matrix(grid), transition.matrix, cfg.horizon)
-    belief = initial_belief(dyn, grid)
-    if cfg.timesteps == 0:
-        return (X_rho @ belief)[None, :]
-    out = np.empty((cfg.timesteps, grid.ndim))
-    with single_thread_blas():
-        for t in range(cfg.timesteps):
-            belief = transition.matrix @ belief
-            out[t] = X_rho @ belief
-    return out
-
-
-def l_sweep(cfg: ScenarioConfig, L_values, n_seeds: int = 20) -> list[tuple[int, float]]:
-    """Tracking error of filters built at several grid resolutions.
-
-    For each seed, one truth/observation stream is generated and replayed
-    against a filter per resolution ``L`` (uniform ``L`` cells per axis);
-    transition matrices are estimated once per resolution.  Returns rows
-    ``(L, median RMSE of the first state coordinate over seeds)``.
-    """
-    L_values = [int(L) for L in L_values]
-    trans_ss, *seed_ss = np.random.SeedSequence(cfg.seed).spawn(1 + n_seeds)
-    dyn = build(cfg)[1]
-    grids, transitions, priors = {}, {}, {}
-    for L, sub in zip(L_values, trans_ss.spawn(len(L_values))):
-        grid_l = GridSpec(cfg.grid.lower, cfg.grid.upper, (L,) * len(cfg.grid.cells))
-        grids[L] = grid_l
-        transitions[L] = estimate_transition(cfg, dyn, grid_l, np.random.default_rng(sub))
-        priors[L] = initial_belief(dyn, grid_l)
-
-    errors = {L: [] for L in L_values}
-    T, rho = cfg.timesteps, cfg.horizon
-    for ss in seed_ss:
-        sensor_rng, truth_rng, obs_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-        scene = build_scene(cfg, sensor_rng)
-        trajectory, observations, _ = simulate(scene, dyn, T, rho, truth_rng, obs_rng)
-        targets = np.stack([trajectory[t + 1 + rho] for t in range(T)]) if T else trajectory[[rho]]
-        for L in L_values:
-            session = GridFilter(grids[L], transitions[L], scene, priors[L], rho=rho)
-            records = session.run_tracking(observations)
-            estimates = np.stack([r.estimate for r in records])
-            errors[L].append(float(np.sqrt(np.mean((estimates[:, 0] - targets[:, 0]) ** 2))))
-    return [(L, float(np.median(errors[L]))) for L in L_values]
 
 
 TRANSITION_MAGIC = b"CGRIDP2\x00"

@@ -4,28 +4,34 @@ For the filtering horizon (``rho = 0``) the predicted gain at a query point
 is the belief-weighted average, over grid cells, of the Gaussian
 conditional mean of the gain given that cell's state and the current
 observations.  The average is linear in the belief, and the cells of one
-kernel-parameter group ``u`` share their covariance solves ``v_y, v_alpha``,
-with ``w_u`` the group's belief mass and ``m_u`` its mu-weighted mass.  The
-solves are products with the group precisions ``Lambda_u = W_u^T W_u``,
-``W_u`` the inverse of the group's Cholesky factor (one batched inverse).
-The kernel ``theta1 exp(-d / theta2)`` is linear in the shadowing power, so
-the groups that share a correlation distance form one class ``c`` and
-``pred(q) = alpha_q E[mu] + sum_c K_c(q) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
+kernel-parameter group ``u`` share their covariance solves, with ``w_u``
+the group's belief mass and ``m_u`` its mu-weighted mass.  The kernel
+``theta1 exp(-d / theta2)`` is linear in the shadowing power, so the groups
+that share a correlation distance form one class ``c``, and every group of
+a class is diagonal on one basis: the eigenpairs ``(lam_c, U_c)`` of the
+unit-power kernel ``R_c`` over the sensors (:func:`channel.kernel_basis`),
+``theta1_u R_c + sigma_xi_sq I = U_c diag(theta1_u lam_c + sigma_xi_sq) U_c^T``
+(the FaST-LMM diagonalisation, Lippert et al. 2011).  With ``y~ = U_c^T y``,
+``alpha~ = U_c^T alpha`` and ``prec_u = 1 / (theta1_u lam_c + sigma_xi_sq)``,
+``pred(q) = alpha_q E[mu] + sum_c K_c(q) . U_c sum_{u in c} theta1_u prec_u o (w_u y~ - m_u alpha~)``
 with the unit-power kernel blocks ``K_c = k(q, sensors; 1, theta2_c)``.
 At a session horizon ``rho >= 1`` the observation carries no extra
 information beyond the propagated state belief, so the prediction reduces
 to the query's path-loss coefficient times the predicted path-loss exponent.
 ``predict_gain_map`` is the one prediction route; a single point is a
-one-point :class:`QuerySpec`, and :func:`kriging_mean` is its referee.
+one-point :class:`QuerySpec`, and :func:`kriging_mean`, which factors each
+cell's covariance by Cholesky, is its referee.
 
 When the sensors are static, nothing but the belief and the observation
 changes between maps, so the session keeps what the rest depends on:
-the ``(G, N, N)`` precisions, built at the first map, and, for the last
-:class:`QuerySpec` mapped, the query path-loss coefficients and the
-``(C, Q, N)`` kernel blocks (``C Q N 8`` bytes; 0.86 MB for 3,600 points,
-30 sensors and one correlation distance).  A map is then one small
-contraction.  Moving sensors rebuild both on every call through the same
-functions, so static and scripted sessions give bitwise equal maps.
+the per-class eigenpairs, ``(C, N)`` values and ``(C, N, N)`` vectors,
+built at the first map, and, for the last :class:`QuerySpec` mapped, the
+query path-loss coefficients and the ``(C, Q, N)`` kernel blocks
+(``C Q N 8`` bytes; 0.86 MB for 3,600 points, 30 sensors and one
+correlation distance).  A map is then ``O(C N^2 + G N)`` work before the
+``O(C Q N)`` contraction with the blocks.  Moving sensors rebuild both on
+every call through the same functions, so static and scripted sessions
+give bitwise equal maps.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .channel import (
     ObservationBatch,
     build_obs_covariance,
     cross_covariance,
+    kernel_basis,
     kernel_eval,
     point_path_loss,
 )
@@ -103,28 +110,10 @@ def _memoized(session: GridFilter, key: str, owner, build):
     return held[1]
 
 
-def _precisions(session: GridFilter, t: int) -> np.ndarray:
-    """Per parameter group, the observation-covariance precision ``W^T W``, shape ``(G, N, N)``.
-
-    ``W`` is the inverse of the group's Cholesky factor, from one batched
-    inverse of the session's stacked factors.
-    """
-
-    def build():
-        inverse = np.linalg.inv(session.factors_at(t)[0])
-        return np.einsum("gkn,gkm->gnm", inverse, inverse)
-
-    return _memoized(session, "precisions", None, build)
-
-
-def _cell_solves(session: GridFilter, obs: ObservationBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Per parameter group, the covariance solves against ``y`` and ``alpha``.
-
-    The cell residual is affine in the cell's path-loss exponent, so solving
-    for ``y`` and ``alpha`` once per group covers every cell and every query.
-    """
-    precisions = _precisions(session, obs.t)
-    return np.einsum("gnm,m->gn", precisions, obs.y), np.einsum("gnm,m->gn", precisions, obs.alpha)
+def _class_bases(session: GridFilter, t: int, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per correlation-distance class, the unit-power kernel's eigenvalues ``(C, N)`` and vectors ``(C, N, N)``."""
+    lam, vecs = zip(*(kernel_basis(session.scene, t, distance) for distance in ranges))
+    return np.stack(lam), np.stack(vecs)
 
 
 def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec, ranges: np.ndarray):
@@ -138,16 +127,17 @@ def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec
 def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QuerySpec) -> np.ndarray:
     """Predicted gain at every query point of a :class:`QuerySpec`, at the session's horizon.
 
-    For ``rho = 0``,
-    ``alpha_q (mus @ belief) + sum_c K_c(q) . sum_{u in c} theta1_u (w_u v_y,u - m_u v_alpha,u)``
-    over the classes ``c`` of parameter groups ``u`` with equal correlation
-    distance ``theta2``: one unit-power kernel block ``K_c`` per distinct
-    ``theta2`` (one when it is a constant).  With static sensors the session
-    keeps the group precisions and, for the last ``queries`` seen, ``alpha_q``
-    and the ``(C, Q, N)`` blocks (``C Q N 8`` bytes), so a repeated map
-    evaluates no kernel; moving sensors rebuild them on every call.  Each
-    ``(Q, N)`` block is reduced with ``einsum``, not a BLAS GEMV, so a
-    point's value does not depend on how many points share the call.
+    For ``rho = 0`` this is the spectral sum of the module docstring over
+    the classes ``c`` of parameter groups with equal correlation distance
+    ``theta2``: one eigenbasis ``(lam_c, U_c)`` and one unit-power kernel
+    block ``K_c`` per distinct ``theta2`` (one when it is a constant), and
+    ``y`` and ``alpha`` rotated once per class.  With static sensors the session
+    keeps the per-class eigenpairs and, for the last ``queries`` seen,
+    ``alpha_q`` and the ``(C, Q, N)`` blocks (``C Q N 8`` bytes), so a
+    repeated map evaluates no kernel and factors nothing; moving sensors
+    rebuild them on every call.  Each ``(Q, N)`` block is reduced with
+    ``einsum``, not a BLAS GEMV, so a point's value does not depend on how
+    many points share the call.
     """
     scene = session.scene
     if obs.n_sensors != scene.n_sensors:
@@ -162,9 +152,13 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     n_groups = len(session.group_thetas)
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
     mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
-    v_y, v_alpha = _cell_solves(session, obs)
-    coeffs = np.zeros((len(ranges), obs.n_sensors))
-    np.add.at(coeffs, group_class, theta1[:, None] * (mass[:, None] * v_y - mu_mass[:, None] * v_alpha))
+    lam, vecs = _memoized(session, "bases", None, lambda: _class_bases(session, obs.t, ranges))
+    y_rot = np.einsum("cnk,n->ck", vecs, obs.y)[group_class]
+    alpha_rot = np.einsum("cnk,n->ck", vecs, obs.alpha)[group_class]
+    prec = 1.0 / (theta1[:, None] * lam[group_class] + scene.sigma_xi_sq)
+    spectral = np.zeros((len(ranges), obs.n_sensors))
+    np.add.at(spectral, group_class, theta1[:, None] * prec * (mass[:, None] * y_rot - mu_mass[:, None] * alpha_rot))
+    coeffs = np.einsum("cnk,ck->cn", vecs, spectral)
     pred = alpha_q * (session.mus @ belief)
     # one einsum per class: a single "cqn,cn->q" coalesces c with n when
     # Q = 1 and so sums a point's terms in an order that depends on Q

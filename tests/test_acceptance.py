@@ -26,8 +26,6 @@ from chantrack.harness import (
     build_grid,
     build_scene,
     estimate_transition,
-    l_sweep,
-    prior_baseline,
     query_points,
     random_small_scenario,
     run_experiment,
@@ -42,6 +40,7 @@ from chantrack.markov import (
     initial_belief,
 )
 from chantrack.util import single_thread_blas
+from studies import l_sweep, prior_baseline
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 

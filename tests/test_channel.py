@@ -27,7 +27,8 @@ from chantrack.channel import (
     sample_joint_field,
     sample_observation,
 )
-from chantrack.harness import benchmark_config, build_scene, query_points
+from chantrack.grid import reconstruction_matrix
+from chantrack.harness import benchmark_config, build, build_scene, query_points
 
 
 def make_scene(sensors, sigma_xi_sq=2.0, theta=(25.0, 10.0), ref=(25.0, 10.0), mu_index=0):
@@ -346,7 +347,8 @@ _THREADED_DRAW = """
 import hashlib
 import numpy as np
 from chantrack.channel import sample_joint_field
-from chantrack.harness import benchmark_config, build_scene, query_points
+from chantrack.grid import reconstruction_matrix
+from chantrack.harness import benchmark_config, build, build_scene, query_points
 cfg = benchmark_config()
 scene = build_scene(cfg, np.random.default_rng(60_002))
 obs, field = sample_joint_field(scene, 249, np.array([2.0, 25.3]), query_points(cfg), np.random.default_rng(7))
@@ -406,6 +408,28 @@ def test_observation_conditioning_diagnostic():
     assert lam == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("rows", ["benchmark_grid", "theta2_bound"])
+def test_observation_conditioning_matches_per_row_eigvalsh(monkeypatch, rows):
+    # one kernel basis per distinct theta2 gives the floor over every theta row
+    grid, _, scene, _ = build(benchmark_config())
+    thetas = scene.state_map.theta_of(reconstruction_matrix(grid).T)  # 30 shadowing powers, one theta2
+    if rows == "theta2_bound":
+        powers, distances = np.meshgrid(np.linspace(5.0, 30.0, 6), [4.0, 7.5, 12.0, 20.0])
+        thetas = np.column_stack([powers.ravel(), distances.ravel()])
+    reference = min(np.linalg.eigvalsh(build_obs_covariance(scene, 0, theta))[0] for theta in np.unique(thetas, axis=0))
+    calls = []
+    original = channel.kernel_basis
+
+    def counting(scene_, t, theta2):
+        calls.append(theta2)
+        return original(scene_, t, theta2)
+
+    monkeypatch.setattr(channel, "kernel_basis", counting)
+    floor = observation_conditioning(scene, 0, thetas)
+    assert abs(floor - reference) <= 1e-12 * reference
+    assert sorted(calls) == sorted(set(thetas[:, 1]))
+
+
 def test_state_map_bindings():
     m = StateToChannelMap(mu_index=0, theta_bindings=(StateCoord(1), 10.0))
     x = np.array([[1.0, 25.0], [2.0, 26.0]])
@@ -421,8 +445,9 @@ def test_state_map_bindings():
         (lambda: StateToChannelMap(mu_index=-1, theta_bindings=(25.0, 10.0)), "mu_index must be >= 0"),
         (lambda: make_scene([[26.0, np.nan]]), "positions must be finite"),
         (lambda: make_scene(np.full((2, 1, 2), 30.0)).sensors_at(2), "no scripted sensor positions for time 2"),
+        (lambda: observation_conditioning(make_scene([[26.0, 10.0]]), 0, [[-1.0, 10.0]]), "theta1 must be >= 0"),
     ],
-    ids=["negative_mu_index", "non_finite_sensor", "scripted_time_beyond_script"],
+    ids=["negative_mu_index", "non_finite_sensor", "scripted_time_beyond_script", "negative_power_floor"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chantrack import cli
+from chantrack import cli, harness
 from chantrack.cli import main
 from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict, save_transition
 from chantrack.markov import TransitionMatrix
@@ -265,30 +265,43 @@ FIRST_ARTIFACT = {
     "predict-map": "map_t5.csv",
     "experiment": "state_trace.csv",
 }
+LAST_ARTIFACT = dict.fromkeys(FIRST_ARTIFACT, "metrics.json") | {"transition": "transition.bin"}
 
 
 @pytest.mark.parametrize("command", ["transition", "track", "predict-map", "experiment"])
-@pytest.mark.parametrize("out_kind", ["file", "under_file", "artifact_is_dir"])
-def test_unusable_out_dir_is_config_error(config_path, tmp_path, capsys, command, out_kind):
-    # an --out that cannot be a directory is refused before any phase runs; an artifact
-    # path that is a directory is refused when it is written, not called a numerical failure
+@pytest.mark.parametrize("out_kind", ["file", "under_file", "artifact_is_dir", "metrics_is_dir"])
+def test_unusable_out_dir_is_config_error(config_path, tmp_path, capsys, monkeypatch, command, out_kind):
+    # an --out that cannot be a directory, or a directory at any artifact path,
+    # is refused before any phase runs and before any file is written
     argv = [command, "--config", str(config_path)]
     if command in ("track", "predict-map"):
         assert main(["transition", "--config", str(config_path), "--out", str(tmp_path / "t")]) == 0
         argv += ["--transition", str(tmp_path / "t" / "transition.bin")]
     blocker = tmp_path / "blocker"
-    if out_kind == "artifact_is_dir":
+    artifact = FIRST_ARTIFACT[command] if out_kind == "artifact_is_dir" else LAST_ARTIFACT[command]
+    if out_kind.endswith("_is_dir"):
         out = tmp_path / "out"
-        (out / FIRST_ARTIFACT[command]).mkdir(parents=True)
+        (out / artifact).mkdir(parents=True)
     else:
         blocker.write_text("not a directory")
         out = blocker if out_kind == "file" else blocker / "out"
+    phases = []
+    real_phase = harness._phase
+
+    def spy(runtime_s, name):
+        phases.append(name)
+        return real_phase(runtime_s, name)
+
+    monkeypatch.setattr(harness, "_phase", spy)
+    monkeypatch.setattr(cli, "_phase", spy)
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: out_dir" in err and "phase" not in err
-    if out_kind == "artifact_is_dir":
-        assert FIRST_ARTIFACT[command] in err
+    assert phases == []
+    if out_kind.endswith("_is_dir"):
+        assert artifact in err
+        assert [p.name for p in out.iterdir()] == [artifact]
     else:
         assert blocker.read_text() == "not a directory"
 

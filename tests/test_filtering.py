@@ -20,6 +20,7 @@ from chantrack.filtering import (
 )
 from chantrack.grid import GridSpec, cell_center, reconstruction_matrix
 from chantrack.harness import benchmark_config, build, random_small_scenario
+from chantrack.kriging import QuerySpec, predict_gain_map
 from chantrack.markov import TransitionMatrix, one_hot_belief, uniform_belief
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -254,19 +255,21 @@ def test_absorbing_chain_concentrates_monotonically():
 
 
 def test_cache_transparency_bitwise():
-    # static sensors reuse cached factors; the same positions scripted for
-    # the time step rebuild them, and the likelihoods must agree bit for bit
+    # static sensors reuse cached factors and class bases; the same positions
+    # scripted for the time step rebuild them, and the likelihoods, the
+    # beliefs and the maps must agree bit for bit
     rng = np.random.default_rng(6)
     grid, tm, scene, observations, prior = random_small_scenario(rng, 4, 3, 1)
     scripted = dataclasses.replace(scene, sensors=scene.sensors[None])
-    cached = GridFilter(grid, tm, scene, prior)
-    uncached = GridFilter(grid, tm, scripted, prior)
-    lam_a = cached.likelihood_vector(observations[0])
-    lam_b = uncached.likelihood_vector(observations[0])
-    assert np.array_equal(lam_a, lam_b)
-    # cached factors equal freshly computed ones, bit for bit
-    (fa, la), (fb, lb) = cached.factors_at(0), cached._build_factors(0)
-    assert np.array_equal(fa, fb) and np.array_equal(la, lb)
+    obs, spec = observations[0], QuerySpec(rng.uniform(0, 40, (16, 2)))
+    results = []
+    for sc in (scene, scripted):
+        session = GridFilter(grid, tm, sc, prior)
+        lam = session.likelihood_vector(obs)
+        maps = [predict_gain_map(session, obs, spec) for _ in range(2)]  # the second from the static memo
+        results.append((lam, session.step(obs), *maps))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 def test_constant_per_step_cost():

@@ -16,15 +16,14 @@ from chantrack.harness import (
     benchmark_config,
     config_from_dict,
     config_to_dict,
-    l_sweep,
     load_transition,
     oracle_check,
-    prior_baseline,
     random_small_scenario,
     run_experiment,
     save_transition,
 )
 from chantrack.markov import TransitionMatrix, estimate_transition_markovian
+from studies import l_sweep, prior_baseline
 
 
 def small_config_dict(**overrides):

@@ -13,6 +13,7 @@ from chantrack.channel import (
     StateToChannelMap,
     build_obs_covariance,
     cross_covariance,
+    kernel_basis,
     kernel_eval,
     point_path_loss,
     sample_observation,
@@ -120,12 +121,13 @@ def _benchmark_grid_scenario(rng, n_obs):
     return grid, tm, scene, observations, uniform_belief(900)
 
 
-def _range_bound_scenario(rng, theta1, n_sensors=5):
+def _range_bound_scenario(rng, theta1, n_sensors=5, scripted=False):
     """A tracked session whose correlation distance is bound to the state, three distinct values.
 
     ``theta2 = x2`` on a 2-D grid with the constant ``theta1``, or, for
     ``theta1 = "state"``, ``theta1 = x2, theta2 = x3`` on a 3-D grid whose
-    ``x2`` has a cell center at 0.
+    ``x2`` has a cell center at 0.  ``scripted`` gives the same sensors as
+    a script over the four observation times.
     """
     if theta1 == "state":
         grid = GridSpec((0.0, -2.5, 4.0), (4.0, 12.5, 16.0), (3, 3, 3))
@@ -139,6 +141,8 @@ def _range_bound_scenario(rng, theta1, n_sensors=5):
         sigma_xi_sq=1.5,
         state_map=StateToChannelMap(mu_index=0, theta_bindings=bindings),
     )
+    if scripted:
+        scene = dataclasses.replace(scene, sensors=np.repeat(scene.sensors[None], 4, axis=0))
     cols = rng.random((grid.n_cells, grid.n_cells)) + 0.1
     tm = TransitionMatrix(cols / cols.sum(0), mode="markovian")
     session = GridFilter(grid, tm, scene, uniform_belief(grid.n_cells))
@@ -175,11 +179,12 @@ def test_predict_map_matches_per_group_sum_benchmark_grid():
     n_groups = len(session.group_thetas)
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
     mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
-    v_y, v_alpha = kriging._cell_solves(session, obs)
     d = cdist(pts, scene.sensors)
     per_group = point_path_loss(scene.ref_pos, pts) * (session.mus @ belief)
     for u, theta in enumerate(session.group_thetas):
-        per_group += np.einsum("qn,n->q", kernel_eval(d, theta), mass[u] * v_y[u] - mu_mass[u] * v_alpha[u])
+        factor = (np.linalg.cholesky(build_obs_covariance(scene, obs.t, theta)), True)
+        v_y, v_alpha = cho_solve(factor, obs.y), cho_solve(factor, obs.alpha)
+        per_group += np.einsum("qn,n->q", kernel_eval(d, theta), mass[u] * v_y - mu_mass[u] * v_alpha)
     assert predict_gain_map(session, obs, QuerySpec(pts)) == pytest.approx(per_group, rel=1e-12)
 
 
@@ -269,20 +274,19 @@ def test_scripted_sensors_evaluate_kernel_every_map(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", ["benchmark_grid", "theta2_bound"])
-def test_cell_solves_match_cho_solve(scenario):
-    # the precision products against per-group Cholesky solves; relative to
-    # each solution's largest entry, since a sum can cancel to a tiny entry
+def test_kernel_basis_rebuilds_obs_covariance(scenario):
+    # every group's covariance is U diag(theta1 lam + sigma_xi_sq) U^T on its
+    # class's basis; relative to the covariance's largest entry
     if scenario == "benchmark_grid":
         session, obs, _ = _tracked_benchmark_session()
     else:
         session, obs = _range_bound_scenario(np.random.default_rng(22), "state")
-    v_y, v_alpha = kriging._cell_solves(session, obs)
-    assert v_y.shape == v_alpha.shape == (len(session.group_thetas), obs.n_sensors)
-    for u, theta in enumerate(session.group_thetas):
-        factor = np.linalg.cholesky(build_obs_covariance(session.scene, obs.t, theta))
-        for v, rhs in ((v_y[u], obs.y), (v_alpha[u], obs.alpha)):
-            ref = cho_solve((factor, True), rhs)
-            assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+    scene = session.scene
+    for theta1, theta2 in session.group_thetas:
+        lam, vecs = kernel_basis(scene, obs.t, theta2)
+        rebuilt = (vecs * (theta1 * lam + scene.sigma_xi_sq)) @ vecs.T
+        cov = build_obs_covariance(scene, obs.t, (theta1, theta2))
+        assert np.max(np.abs(rebuilt - cov)) <= 1e-12 * np.max(np.abs(cov))
 
 
 def test_predict_map_value_independent_of_query_count():
@@ -298,8 +302,8 @@ def test_predict_map_value_independent_of_query_count():
 
 @pytest.mark.parametrize("scenario", ["small", "benchmark_grid"])
 def test_static_sensors_match_scripted_bitwise(scenario):
-    # static sensors reuse one set of cached factors; the same positions
-    # scripted at every t rebuild them per update, and nothing may differ
+    # static sensors reuse the cached factors and class bases; the same
+    # positions scripted at every t rebuild them per call, and nothing may differ
     rng = np.random.default_rng(12)
     if scenario == "small":
         grid, tm, scene, observations, prior = random_small_scenario(rng, 5, 3, 4)
@@ -312,8 +316,8 @@ def test_static_sensors_match_scripted_bitwise(scenario):
         session = GridFilter(grid, tm, sc, prior)
         beliefs = np.stack([r.belief for r in session.run_tracking(observations)])
         obs = observations[-1]
-        factors, logdets = session.factors_at(obs.t)
-        results.append((beliefs, factors, logdets, predict_gain_map(session, obs, spec)))
+        maps = [predict_gain_map(session, obs, spec) for _ in range(2)]
+        results.append((session.likelihood_vector(obs), beliefs, *maps))
     for a, b in zip(*results):
         assert np.array_equal(a, b)
 
@@ -442,20 +446,25 @@ def test_predict_map_future_horizon():
     assert np.array_equal(out, aq * session.estimate()[0])
 
 
-def test_predict_map_shares_cell_solves(monkeypatch):
+@pytest.mark.parametrize("sensors", ["static", "scripted"])
+def test_predict_map_keeps_one_basis_per_correlation_distance(monkeypatch, sensors):
+    # C = 3 classes: a static session builds their bases at its first map and
+    # keeps them; scripted sensors rebuild them for every map
     rng = np.random.default_rng(10)
-    session, obs = make_session(rng)
+    session, obs = _range_bound_scenario(rng, "state", scripted=sensors == "scripted")
     calls = []
-    original = kriging._cell_solves
+    original = kriging.kernel_basis
 
-    def counting(session_, obs_):
-        calls.append(1)
-        return original(session_, obs_)
+    def counting(scene, t, theta2):
+        calls.append(theta2)
+        return original(scene, t, theta2)
 
-    monkeypatch.setattr(kriging, "_cell_solves", counting)
-    pts = rng.uniform(0, 40, (64, 2))
-    predict_gain_map(session, obs, QuerySpec(pts))
-    assert len(calls) == 1
+    monkeypatch.setattr(kriging, "kernel_basis", counting)
+    spec = QuerySpec(rng.uniform(0, 40, (64, 2)))
+    predict_gain_map(session, obs, spec)
+    assert sorted(calls) == sorted(set(session.group_thetas[:, 1]))
+    predict_gain_map(session, obs, spec)
+    assert len(calls) == (3 if sensors == "static" else 6)
 
 
 def test_query_near_reference_rejected():

@@ -7,6 +7,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _source_env(**extra):
+    """The environment with ``src/`` first on ``PYTHONPATH``, plus ``extra`` variables."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_perfbench_selftest_passes():
     # pytest does not collect perfbench/selftest.py by default; it guards the API names perfbench traces
     proc = subprocess.run(
@@ -23,7 +29,7 @@ def test_cli_exit_codes_reach_the_process(tmp_path):
     # `python -m chantrack.cli` exits through entry() and sys.exit with main()'s code
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"grid": {"lower": [0.0], "upper": [1.0], "cells": [2]}}))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = _source_env()
     for argv, code, printed in (
         (["oracle-check", "--scenarios", "2"], 0, "oracle-check: max belief error"),
         (["experiment", "--config", str(bad), "--out", str(tmp_path / "out")], 2, "config error: missing field"),
@@ -33,3 +39,36 @@ def test_cli_exit_codes_reach_the_process(tmp_path):
         )
         assert proc.returncode == code, proc.stdout[-4000:] + proc.stderr[-4000:]
         assert printed in proc.stdout + proc.stderr
+
+
+MAP_DIGEST = """
+import hashlib
+import numpy as np
+from chantrack.channel import ObservationBatch, observation_conditioning, path_loss_coeffs
+from chantrack.filtering import GridFilter
+from chantrack.harness import benchmark_config, build
+from chantrack.kriging import QuerySpec, predict_gain_map
+from chantrack.markov import TransitionMatrix
+
+grid, _, scene, queries = build(benchmark_config())
+rng = np.random.default_rng(7)
+belief = rng.random(grid.n_cells)
+session = GridFilter(grid, TransitionMatrix(np.eye(grid.n_cells), mode="markovian"), scene, belief / belief.sum())
+alpha = path_loss_coeffs(scene, 0)
+obs = ObservationBatch(t=0, y=2.0 * alpha + 3.0 * rng.standard_normal(len(alpha)), alpha=alpha)
+gain = predict_gain_map(session, obs, QuerySpec(queries))
+floor = observation_conditioning(scene, 0, scene.state_map.theta_of(session.X.T))
+print(hashlib.sha256(gain.tobytes() + np.float64(floor).tobytes()).hexdigest())
+"""
+
+
+def test_map_and_floor_do_not_depend_on_blas_threads():
+    # the benchmark lattice's map and the conditioning floor, under 1 and 2
+    # OpenBLAS threads, must match byte for byte; about 3 s for both runs
+    digests = []
+    for threads in ("1", "2"):
+        env = _source_env(OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", MAP_DIGEST], env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
