@@ -48,6 +48,7 @@ __all__ = [
     "sample_observation",
     "sample_joint_field",
     "kernel_basis",
+    "kernel_classes",
     "observation_conditioning",
 ]
 
@@ -291,19 +292,12 @@ def _chol_psd(sigma: np.ndarray, theta1: float) -> np.ndarray:
 
 
 def _stable_unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicate rows preserving first-occurrence order."""
-    seen: dict[bytes, int] = {}
-    inverse = np.empty(len(points), dtype=np.int64)
-    keep = []
-    for i, row in enumerate(points):
-        key = row.tobytes()
-        j = seen.get(key)
-        if j is None:
-            j = len(keep)
-            seen[key] = j
-            keep.append(i)
-        inverse[i] = j
-    return points[keep], inverse
+    """Deduplicate rows byte for byte (``-0.0`` and ``0.0`` differ), preserving first-occurrence order."""
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return points[first[order]], np.argsort(order)[inverse]
 
 
 def _lattice_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -411,23 +405,29 @@ def kernel_basis(scene: ChannelScene, t: int, theta2: float) -> tuple[np.ndarray
     return np.linalg.eigh(kernel_eval(scene.sensor_distances(t), (1.0, theta2)))
 
 
+def kernel_classes(scene: ChannelScene, t: int, theta2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per distinct ``theta2``, one :func:`kernel_basis`: ``(ranges (C,), class_index, lam (C, N), U (C, N, N))``."""
+    ranges, class_index = np.unique(theta2, return_inverse=True)
+    lam, vecs = zip(*(kernel_basis(scene, t, distance) for distance in ranges))
+    return ranges, class_index, np.stack(lam), np.stack(vecs)
+
+
 def observation_conditioning(scene: ChannelScene, t: int, thetas) -> float:
     """Smallest observation-covariance eigenvalue over the given parameter rows.
 
     It is ``min_u (theta1_u lam_min + sigma_xi_sq)``, with ``lam_min`` from
-    one :func:`kernel_basis` per distinct ``theta2``.  A value at or below 1
+    the :func:`kernel_classes` of the rows' ``theta2``.  A value at or below 1
     is reported as a warning (the filter tolerates it; rescaling the
     observations restores the margin).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     kernel_eval(0.0, thetas)
-    ranges, range_class = np.unique(thetas[:, 1], return_inverse=True)
-    lam_min = np.array([kernel_basis(scene, t, distance)[0][0] for distance in ranges])
-    lam = float(np.min(thetas[:, 0] * lam_min[range_class] + scene.sigma_xi_sq))
-    if lam <= 1.0:
+    _, range_class, lam, _ = kernel_classes(scene, t, thetas[:, 1])
+    floor = float(np.min(thetas[:, 0] * lam[range_class, 0] + scene.sigma_xi_sq))
+    if floor <= 1.0:
         warnings.warn(
-            f"observation covariance eigenvalue floor {lam:.4g} <= 1; consider rescaling observations",
+            f"observation covariance eigenvalue floor {floor:.4g} <= 1; consider rescaling observations",
             NumericsWarning,
             stacklevel=2,
         )
-    return lam
+    return floor

@@ -14,8 +14,9 @@ the cell's log-likelihood is a quadratic in its path-loss exponent ``mu``:
 with ``S_ab = a^T Sigma_u^-1 b``.  Per update and group, one triangular solve
 of the Cholesky factor ``L_u`` against the two columns ``[y alpha]`` gives the
 three sums; they are gathered to the cells by ``group_index``.  The ``(G, N, N)``
-factors come from one stacked Cholesky, built once when the sensors are
-static.
+factors come from one stacked Cholesky.  Only the sensor geometry fixes the
+covariance, so they, and the gain map's class bases and query blocks, go
+through one rule, :meth:`GridFilter.memo`: built once for static sensors.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ class GridFilter:
         self.mus = self.X[scene.state_map.mu_index]
         thetas = scene.state_map.theta_of(self.X.T)
         self.group_thetas, self.group_index = _stable_unique_rows(thetas)
-        self._cached_factors = self._build_factors(0) if scene.static else None
-        self.map_memo: dict = {}  # filled by kriging at the first map, for static sensors only
+        self._memo: dict = {}
+        if scene.static:  # so a singular covariance fails here, not at the first update
+            self.memo("factors", None, lambda: self._build_factors(0))
 
     @property
     def n_cells(self) -> int:
@@ -113,6 +115,15 @@ class GridFilter:
     @property
     def reset_count(self) -> int:
         return len(self.reset_events)
+
+    def memo(self, key: str, owner, build):
+        """``build()``, kept while the sensors are static and ``owner`` is the same; moving sensors build every call."""
+        if not self.scene.static:
+            return build()
+        held = self._memo.get(key)
+        if held is None or held[0] is not owner:
+            held = self._memo[key] = (owner, build())
+        return held[1]
 
     def _build_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Per parameter group, the covariance's Cholesky factor ``(G, N, N)`` and log-determinant ``(G,)``."""
@@ -130,7 +141,7 @@ class GridFilter:
         """
         if obs.n_sensors != self.scene.n_sensors:
             raise ValueError("observation dimension does not match the scene")
-        factors, logdets = self._cached_factors if self.scene.static else self._build_factors(obs.t)
+        factors, logdets = self.memo("factors", None, lambda: self._build_factors(obs.t))
         rhs = np.column_stack([obs.y, obs.alpha])
         z = np.stack([solve_triangular(factor, rhs, lower=True, check_finite=False) for factor in factors])
         sums = np.einsum("gni,gnj->gij", z, z)[self.group_index]

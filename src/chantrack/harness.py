@@ -382,6 +382,13 @@ def streams(cfg: ScenarioConfig) -> Streams:
     return Streams(*(np.random.default_rng(ss) for ss in (sensor, transition, truth, obs)))
 
 
+# The fields each dynamics and sensor kind reads; another field of its section must keep its default.
+_READ_BY_KIND = {
+    "coupled_tanh": ("gamma", "initial_state"), "finite_chain": ("points", "matrix", "initial_index"),
+    "lattice": ("n",), "fixed": ("positions",),
+}
+
+
 @contextmanager
 def _fields(names: str):
     """Raise a constructor's ``ValueError`` as a ``ConfigError`` naming the config fields it was built from."""
@@ -395,8 +402,10 @@ def build(cfg: ScenarioConfig):
     """The objects a run uses, ``(grid, dynamics, scene, query points)``; building them validates ``cfg``.
 
     A constructor's ``ValueError`` becomes a ``ConfigError`` naming its config
-    fields; the checks written here are those no constructor makes.  Lattice
-    sensors are drawn from the run's own sensor stream.
+    fields; the checks written here are those no constructor makes.  A
+    ``dynamics`` or ``scene.sensors`` field that the section's kind does not
+    read is one, unless it keeps its default.  Lattice sensors are drawn from
+    the run's own sensor stream.
     """
     sc = cfg.scene
     for name, value, allowed in (
@@ -407,6 +416,10 @@ def build(cfg: ScenarioConfig):
     ):
         if value not in allowed:
             raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+    for name, section in (("dynamics", cfg.dynamics), ("scene.sensors", sc.sensors)):
+        for f in dataclasses.fields(section):
+            if f.name not in ("kind", *_READ_BY_KIND[section.kind]) and getattr(section, f.name) != f.default:
+                raise ConfigError(f"{name}.{f.name} is not read by {name}.kind {section.kind!r}")
     for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
         if getattr(cfg.transition, name) < least:
             raise ConfigError(f"transition.{name} must be >= {least}")

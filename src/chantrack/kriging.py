@@ -9,7 +9,7 @@ the group's belief mass and ``m_u`` its mu-weighted mass.  The kernel
 ``theta1 exp(-d / theta2)`` is linear in the shadowing power, so the groups
 that share a correlation distance form one class ``c``, and every group of
 a class is diagonal on one basis: the eigenpairs ``(lam_c, U_c)`` of the
-unit-power kernel ``R_c`` over the sensors (:func:`channel.kernel_basis`),
+unit-power kernel ``R_c`` over the sensors (:func:`channel.kernel_classes`),
 ``theta1_u R_c + sigma_xi_sq I = U_c diag(theta1_u lam_c + sigma_xi_sq) U_c^T``
 (the FaST-LMM diagonalisation, Lippert et al. 2011).  With ``y~ = U_c^T y``,
 ``alpha~ = U_c^T alpha`` and ``prec_u = 1 / (theta1_u lam_c + sigma_xi_sq)``,
@@ -23,15 +23,16 @@ one-point :class:`QuerySpec`, and :func:`kriging_mean`, which factors each
 cell's covariance by Cholesky, is its referee.
 
 When the sensors are static, nothing but the belief and the observation
-changes between maps, so the session keeps what the rest depends on:
-the per-class eigenpairs, ``(C, N)`` values and ``(C, N, N)`` vectors,
-built at the first map, and, for the last :class:`QuerySpec` mapped, the
-query path-loss coefficients and the ``(C, Q, N)`` kernel blocks
-(``C Q N 8`` bytes; 0.86 MB for 3,600 points, 30 sensors and one
-correlation distance).  A map is then ``O(C N^2 + G N)`` work before the
-``O(C Q N)`` contraction with the blocks.  Moving sensors rebuild both on
-every call through the same functions, so static and scripted sessions
-give bitwise equal maps.
+changes between maps.  So what the rest depends on goes into the session's
+one memo, :meth:`GridFilter.memo`: the classes and their eigenpairs,
+``(C, N)`` values and ``(C, N, N)`` vectors, built at the first map, and,
+for the last :class:`QuerySpec` mapped, the query path-loss coefficients
+and the ``(C, Q, N)`` kernel blocks (``C Q N 8`` bytes; 0.86 MB for 3,600
+points, 30 sensors and one correlation distance).  A map is then
+``O(C N^2 + G N)`` work before the ``O(C Q N)`` contraction with the
+blocks.  The memo hands moving sensors a fresh build of both on every
+call, through the same functions, so static and scripted sessions give
+bitwise equal maps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .channel import (
     ObservationBatch,
     build_obs_covariance,
     cross_covariance,
-    kernel_basis,
+    kernel_classes,
     kernel_eval,
     point_path_loss,
 )
@@ -97,25 +98,6 @@ def kriging_mean(x, obs: ObservationBatch, query, scene) -> float:
     return alpha_q * mu + float(cross @ cho_solve((factor, True), innovation, check_finite=False))
 
 
-def _memoized(session: GridFilter, key: str, owner, build):
-    """``build()``, kept on a static-sensor session while ``owner`` stays the same object.
-
-    Moving sensors get a fresh ``build()`` on every call.
-    """
-    if not session.scene.static:
-        return build()
-    held = session.map_memo.get(key)
-    if held is None or held[0] is not owner:
-        held = session.map_memo[key] = (owner, build())
-    return held[1]
-
-
-def _class_bases(session: GridFilter, t: int, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per correlation-distance class, the unit-power kernel's eigenvalues ``(C, N)`` and vectors ``(C, N, N)``."""
-    lam, vecs = zip(*(kernel_basis(session.scene, t, distance) for distance in ranges))
-    return np.stack(lam), np.stack(vecs)
-
-
 def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec, ranges: np.ndarray):
     """The query path-loss coefficients ``(Q,)`` and unit-power kernel blocks ``(C, Q, N)``, one per ``theta2``."""
     scene = session.scene
@@ -131,13 +113,13 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
     the classes ``c`` of parameter groups with equal correlation distance
     ``theta2``: one eigenbasis ``(lam_c, U_c)`` and one unit-power kernel
     block ``K_c`` per distinct ``theta2`` (one when it is a constant), and
-    ``y`` and ``alpha`` rotated once per class.  With static sensors the session
-    keeps the per-class eigenpairs and, for the last ``queries`` seen,
-    ``alpha_q`` and the ``(C, Q, N)`` blocks (``C Q N 8`` bytes), so a
-    repeated map evaluates no kernel and factors nothing; moving sensors
-    rebuild them on every call.  Each ``(Q, N)`` block is reduced with
-    ``einsum``, not a BLAS GEMV, so a point's value does not depend on how
-    many points share the call.
+    ``y`` and ``alpha`` rotated once per class.  The classes with their
+    eigenpairs, and ``alpha_q`` and the ``(C, Q, N)`` blocks (``C Q N 8``
+    bytes) of the last ``queries`` seen, go through ``session.memo``: with
+    static sensors a repeated map evaluates no kernel and factors nothing;
+    moving sensors rebuild them on every call.  Each ``(Q, N)`` block is
+    reduced with ``einsum``, not a BLAS GEMV, so a point's value does not
+    depend on how many points share the call.
     """
     scene = session.scene
     if obs.n_sensors != scene.n_sensors:
@@ -146,13 +128,12 @@ def predict_gain_map(session: GridFilter, obs: ObservationBatch, queries: QueryS
         alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
         return alpha_q * session.estimate()[scene.state_map.mu_index]
     theta1, theta2 = session.group_thetas.T
-    ranges, group_class = np.unique(theta2, return_inverse=True)
-    alpha_q, kernels = _memoized(session, "queries", queries, lambda: _query_blocks(session, obs, queries, ranges))
+    ranges, group_class, lam, vecs = session.memo("bases", None, lambda: kernel_classes(scene, obs.t, theta2))
+    alpha_q, kernels = session.memo("queries", queries, lambda: _query_blocks(session, obs, queries, ranges))
     belief = session.belief
     n_groups = len(session.group_thetas)
     mass = np.bincount(session.group_index, weights=belief, minlength=n_groups)
     mu_mass = np.bincount(session.group_index, weights=session.mus * belief, minlength=n_groups)
-    lam, vecs = _memoized(session, "bases", None, lambda: _class_bases(session, obs.t, ranges))
     y_rot = np.einsum("cnk,n->ck", vecs, obs.y)[group_class]
     alpha_rot = np.einsum("cnk,n->ck", vecs, obs.alpha)[group_class]
     prec = 1.0 / (theta1[:, None] * lam[group_class] + scene.sigma_xi_sq)

@@ -316,6 +316,50 @@ def test_lattice_detection():
     assert channel._lattice_index(uneven) is None
 
 
+def _unique_rows_by_loop(points):
+    """The per-row dictionary loop ``_stable_unique_rows`` replaced, kept as its referee."""
+    seen: dict[bytes, int] = {}
+    inverse = np.empty(len(points), dtype=np.int64)
+    keep = []
+    for i, row in enumerate(points):
+        key = row.tobytes()
+        j = seen.get(key)
+        if j is None:
+            j = len(keep)
+            seen[key] = j
+            keep.append(i)
+        inverse[i] = j
+    return points[keep], inverse
+
+
+def _rows_with_repeats(n):
+    # sensors drawn from the query lattice and stacked above it, as a snapshot draw stacks them
+    queries = lattice(60, 40.0 / 60)
+    rng = np.random.default_rng(n)
+    if n == 3630:
+        return np.vstack([queries[rng.choice(len(queries), 30, replace=False)], queries])
+    return queries[rng.integers(0, max(n // 3, 1), n)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _rows_with_repeats(1),
+        _rows_with_repeats(30),
+        _rows_with_repeats(900),
+        _rows_with_repeats(3630),
+        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, 1.0]]),
+    ],
+    ids=["1", "30", "900", "3630", "signed_zeros"],
+)
+def test_stable_unique_rows_matches_row_loop(rows):
+    uniq, inverse = channel._stable_unique_rows(rows)
+    ref_uniq, ref_inverse = _unique_rows_by_loop(rows)
+    assert uniq.dtype == ref_uniq.dtype and uniq.tobytes() == ref_uniq.tobytes()
+    assert inverse.dtype == ref_inverse.dtype and np.array_equal(inverse, ref_inverse)
+    assert len(uniq) < len(rows) or len(rows) == 1
+
+
 def test_joint_field_path_selection(monkeypatch):
     calls = []
     dense = channel._chol_psd

@@ -181,6 +181,10 @@ _CHAIN = {"kind": "finite_chain", "points": [[1.0, 25.1], [3.0, 25.5]], "matrix"
         (dict(_CHAIN, points=[[1.0, -25.1], [3.0, 25.5]]), "scene.kernel.params"),  # shadowing power < 0 at a chain point
         (dict(_CHAIN, initial_index=2), "dynamics.initial_index"),
         ({"kind": "coupled_tanh", "initial_state": [2.0]}, "dynamics.initial_state"),
+        ({"kind": "coupled_tanh", "points": _CHAIN["points"]}, "dynamics.points"),  # fields coupled_tanh does not read
+        ({"kind": "coupled_tanh", "matrix": _CHAIN["matrix"]}, "dynamics.matrix"),
+        ({"kind": "coupled_tanh", "initial_index": 7}, "dynamics.initial_index"),
+        (dict(_CHAIN, gamma=2.0), "dynamics.gamma"),  # a field finite_chain does not read
     ],
 )
 def test_malformed_dynamics_numbers_are_config_errors(tmp_path, capsys, dynamics, named):
@@ -243,6 +247,8 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
         ("scene", "mu_index", 1, "scene.mu_index"),  # coordinate 1 also holds the shadowing power
         ("query_grid", "region", [[24.0, 26.0], [9.0, 11.0]], "query_grid"),  # a lattice point sits on ref_pos
         ("transition", "samples_per_cell", -150, "transition.samples_per_cell"),
+        ("scene", "sensors", {"kind": "lattice", "n": 4, "positions": [[20.0, 10.0]]}, "scene.sensors.positions"),
+        ("scene", "sensors", {"kind": "fixed", "n": 9, "positions": [[20.0, 10.0]]}, "scene.sensors.n"),
     ],
 )
 def test_setup_failures_are_config_errors(config_path, tmp_path, capsys, section, field, value, named):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
+import chantrack.channel as channel
 import chantrack.kriging as kriging
 from chantrack.channel import (
     ChannelScene,
@@ -270,7 +271,7 @@ def test_scripted_sensors_evaluate_kernel_every_map(monkeypatch):
     second = predict_gain_map(session, obs, spec)
     assert len(calls) == 2
     assert np.array_equal(first, second)
-    assert session.map_memo == {}
+    assert session._memo == {}
 
 
 @pytest.mark.parametrize("scenario", ["benchmark_grid", "theta2_bound"])
@@ -453,18 +454,63 @@ def test_predict_map_keeps_one_basis_per_correlation_distance(monkeypatch, senso
     rng = np.random.default_rng(10)
     session, obs = _range_bound_scenario(rng, "state", scripted=sensors == "scripted")
     calls = []
-    original = kriging.kernel_basis
+    original = channel.kernel_basis
 
     def counting(scene, t, theta2):
         calls.append(theta2)
         return original(scene, t, theta2)
 
-    monkeypatch.setattr(kriging, "kernel_basis", counting)
+    monkeypatch.setattr(channel, "kernel_basis", counting)
     spec = QuerySpec(rng.uniform(0, 40, (64, 2)))
     predict_gain_map(session, obs, spec)
     assert sorted(calls) == sorted(set(session.group_thetas[:, 1]))
     predict_gain_map(session, obs, spec)
     assert len(calls) == (3 if sensors == "static" else 6)
+
+
+@pytest.mark.parametrize("sensors", ["static", "scripted"])
+def test_session_memo_builds_geometry_once_for_static_sensors(monkeypatch, sensors):
+    # only the sensor geometry fixes the observation covariance: over 10
+    # updates and 2 maps a static session builds its factors once, in the
+    # constructor, and each class basis once, at the first map; the same
+    # sensors scripted build the factors per update and the bases per map
+    rng = np.random.default_rng(24)
+    grid = GridSpec((0.0, -2.5, 4.0), (4.0, 12.5, 16.0), (3, 3, 3))
+    scene = ChannelScene(
+        ref_pos=np.array([25.0, 10.0]),
+        sensors=rng.uniform(0, 40, (5, 2)),
+        sigma_xi_sq=1.5,
+        state_map=StateToChannelMap(mu_index=0, theta_bindings=(StateCoord(1), StateCoord(2))),
+    )
+    if sensors == "scripted":
+        scene = dataclasses.replace(scene, sensors=np.repeat(scene.sensors[None], 10, axis=0))
+    factor_times, basis_calls = [], []
+    original_factors, original_basis = GridFilter._build_factors, channel.kernel_basis
+    monkeypatch.setattr(GridFilter, "_build_factors", lambda s, t: factor_times.append(t) or original_factors(s, t))
+    monkeypatch.setattr(channel, "kernel_basis", lambda sc, t, d: basis_calls.append(d) or original_basis(sc, t, d))
+    cols = rng.random((grid.n_cells, grid.n_cells)) + 0.1
+    tm = TransitionMatrix(cols / cols.sum(0), mode="markovian")
+    session = GridFilter(grid, tm, scene, uniform_belief(grid.n_cells))
+    assert factor_times == ([0] if sensors == "static" else [])
+    classes = sorted(set(session.group_thetas[:, 1]))
+    assert len(classes) == 3
+    spec = QuerySpec(rng.uniform(0, 40, (16, 2)))
+    bases_per_map = []
+    for t, cell in enumerate(rng.integers(0, grid.n_cells, 10)):
+        obs = sample_observation(scene, t, session.X[:, cell], rng)
+        session.step(obs)
+        if t in (4, 9):
+            predict_gain_map(session, obs, spec)
+            bases_per_map.append(sorted(basis_calls))
+            basis_calls.clear()
+    if sensors == "static":
+        assert factor_times == [0]
+        assert bases_per_map == [classes, []]
+        assert set(session._memo) == {"factors", "bases", "queries"}
+    else:
+        assert factor_times == list(range(10))
+        assert bases_per_map == [classes, classes]
+        assert session._memo == {}
 
 
 def test_query_near_reference_rejected():
