@@ -109,7 +109,7 @@ def _cmd_transition(args) -> int:
 
 
 def _load_transition_arg(cfg, path):
-    """The ``--transition`` file; a missing or malformed one, or one for another grid, is a ``ConfigError``."""
+    """The ``--transition`` file; a missing or malformed one, or one for another grid or mode, is a ``ConfigError``."""
     try:
         tm = load_transition(path)
     except (OSError, ValueError) as e:
@@ -117,6 +117,8 @@ def _load_transition_arg(cfg, path):
     n_cells = build_grid(cfg).n_cells
     if tm.n_cells != n_cells:
         raise ConfigError(f"--transition: {tm.n_cells} cells, but the grid has {n_cells}")
+    if tm.mode != cfg.quantization:
+        raise ConfigError(f"--transition: a {tm.mode} chain, but the config's quantization is {cfg.quantization}")
     return tm
 
 

@@ -40,6 +40,7 @@ from .util import single_thread_blas
 __all__ = ["GridFilter", "TrackRecord", "DegenerateLikelihoodError", "brute_force_posterior"]
 
 SIMPLEX_TOL = 1e-12
+PATH_BUDGET = 1e6  # most cell paths brute_force_posterior enumerates
 
 
 class DegenerateLikelihoodError(RuntimeError):
@@ -229,7 +230,6 @@ def brute_force_posterior(
     scene: ChannelScene,
     observations: Sequence[ObservationBatch],
     initial_belief: np.ndarray,
-    budget: float = 1e6,
 ) -> np.ndarray:
     """Exact filtering posteriors by exhaustive path enumeration.
 
@@ -239,14 +239,14 @@ def brute_force_posterior(
     transition probabilities along the path and the likelihood of every
     observation.  Row ``t`` of the result is the marginal of the terminal
     cell given observations up to ``t``.  Refuses runs whose path count
-    exceeds ``budget``.
+    exceeds ``PATH_BUDGET``.
     """
     n_obs = len(observations)
     if n_obs < 1:
         raise ValueError("need at least one observation")
     n = grid.n_cells
-    if float(n) ** n_obs > budget:
-        raise ValueError(f"path enumeration budget exceeded: {n}^{n_obs} > {budget:g}")
+    if float(n) ** n_obs > PATH_BUDGET:
+        raise ValueError(f"path enumeration budget exceeded: {n}^{n_obs} > {PATH_BUDGET:g}")
     initial = np.asarray(initial_belief, dtype=float)
     with single_thread_blas():
         table = _dense_likelihood_table(grid, scene, observations)

@@ -20,8 +20,8 @@ snapshot times and write the artifacts:
   ``min_u (theta1_u lam_min + sigma_xi_sq)`` with ``lam_min`` from one
   kernel eigenbasis per correlation distance),
   ``reset_times`` (the timesteps of belief resets) and ``patched_columns``
-  (transition columns patched uniform for never-visited cells; ``null``
-  for a matrix read from an older file that does not carry the count)
+  (the integer count of transition columns patched uniform for
+  never-visited cells)
 * ``config_echo.json``  -- the resolved configuration
 
 Identical configurations produce byte-identical CSV artifacts.
@@ -665,7 +665,6 @@ def run_experiment(
 
 
 TRANSITION_MAGIC = b"CGRIDP2\x00"
-_V1_MAGIC = b"CGRIDP1\x00"
 _MODE_TAGS = {"markovian": 1, "marginal": 2}
 _TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 
@@ -674,9 +673,9 @@ def save_transition(path, transition: TransitionMatrix) -> None:
     """Persist a transition matrix: 24-byte header then row-major little-endian f64.
 
     The header is the magic, the cell count and mode tag (``u32`` each) and
-    the patched column count (``i64``, -1 when unknown).
+    the patched column count (``i64``).
     """
-    patched = -1 if transition.patched_columns is None else transition.patched_columns
+    patched = transition.patched_columns
     header = TRANSITION_MAGIC + struct.pack("<IIq", transition.n_cells, _MODE_TAGS[transition.mode], patched)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -686,30 +685,24 @@ def save_transition(path, transition: TransitionMatrix) -> None:
 def load_transition(path) -> TransitionMatrix:
     """Read a file written by :func:`save_transition`.
 
-    Also reads the older 16-byte-header files, which carry no patched
-    column count; it is then unknown (``None``), never 0.
+    Any other header (such as the first version's 16 bytes) is "bad magic";
+    a patched count outside ``[0, n_cells]`` is a ``ValueError`` too.
     """
     with open(path, "rb") as fh:
         head = fh.read(24)
-        if head[:8] == TRANSITION_MAGIC and len(head) == 24:
-            n, tag, patched = struct.unpack("<IIq", head[8:24])
-            offset = 24
-        elif head[:8] == _V1_MAGIC and len(head) >= 16:
-            n, tag = struct.unpack("<II", head[8:16])
-            patched, offset = -1, 16
-        else:
+        if head[:8] != TRANSITION_MAGIC or len(head) != 24:
             raise ValueError(f"{path}: not a transition matrix file (bad magic)")
+        n, tag, patched = struct.unpack("<IIq", head[8:])
         if tag not in _TAG_MODES:
             raise ValueError(f"{path}: unknown quantization mode tag {tag}")
-        expected = offset + 8 * n * n
+        expected = 24 + 8 * n * n
         size = os.fstat(fh.fileno()).st_size
         if size != expected:  # checked before the payload is allocated
             raise ValueError(f"{path}: expected {expected} bytes for {n} cells, got {size}")
         matrix = np.empty((n, n), dtype="<f8")
-        fh.seek(offset)
-        if fh.readinto(matrix) != size - offset:
+        if fh.readinto(matrix) != size - 24:
             raise ValueError(f"{path}: file shrank while it was read")
-    return TransitionMatrix(matrix, mode=_TAG_MODES[tag], patched_columns=None if patched < 0 else patched)
+    return TransitionMatrix(matrix, mode=_TAG_MODES[tag], patched_columns=patched)
 
 
 def random_small_scenario(rng, n_cells: int, n_sensors: int, n_obs: int):

@@ -13,9 +13,11 @@ over the cells of a :class:`~chantrack.grid.GridSpec`:
   steps at a time, so its memory does not grow with the path length, and its
   result is bitwise that of drawing all noise at once and quantizing per step.
 
-Noise draws use per-cell / per-path sub-streams spawned from the caller's
-generator, so a parallel implementation over cells or paths would reproduce
-the sequential result bit for bit.
+Both end in ``_chain``, which divides each column of the counts once by its
+visits and patches a never-visited one uniform.  Noise draws use per-cell /
+per-path sub-streams spawned from the caller's generator, so a parallel
+implementation over cells or paths would reproduce the sequential result bit
+for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class StateDynamics:
     ``step`` must be a pure function, deterministic given ``(x, w)`` and
     vectorized over leading axes: it receives states of shape ``(..., dim)``
     together with noise draws of shape ``(...)`` (or ``(..., noise_dim)``)
-    and returns states of shape ``(..., dim)``.  ``noise_sampler(rng, size)``
+    and returns states of shape ``(..., dim)``, broadcasting one ``(1, dim)``
+    state against all its draws.  ``noise_sampler(rng, size)``
     draws i.i.d. noise with that shape convention; split draws must equal one
     call (``m`` then ``k`` draws from a generator give the ``m + k`` values of
     one call), the condition under which the marginal estimator's result,
@@ -78,12 +81,12 @@ class TransitionMatrix:
     """Column-stochastic cell transition matrix: ``matrix[i, j] = P(next=i | current=j)``.
 
     ``patched_columns`` counts the never-visited columns set uniform by the
-    estimator; ``None`` when unknown (a matrix read from an older file).
+    estimator, an integer in ``[0, n_cells]``.
     """
 
     matrix: np.ndarray
     mode: str
-    patched_columns: int | None = 0
+    patched_columns: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -96,6 +99,8 @@ class TransitionMatrix:
         colsum_err = np.max(np.abs(m.sum(axis=0) - 1.0))
         if colsum_err > COLUMN_SUM_TOL:
             raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, max error {colsum_err:.3e}")
+        if not (isinstance(self.patched_columns, int) and 0 <= self.patched_columns <= len(m)):
+            raise ValueError(f"patched_columns must be an integer in [0, {len(m)}], got {self.patched_columns!r}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -167,6 +172,20 @@ def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynami
     return StateDynamics(dim=pts.shape[1], step=step, noise_sampler=noise, initial=pts[initial_index].copy())
 
 
+def _chain(counts: np.ndarray, mode: str) -> TransitionMatrix:
+    """The chain of ``(next, current)`` counts: each column divided in place by its visits, or patched uniform."""
+    visits = counts.sum(axis=0)
+    unvisited = visits == 0
+    patched = int(unvisited.sum())
+    if patched:
+        msg = f"{mode} estimation left {patched}/{len(counts)} cells unvisited; their columns were patched uniform"
+        warnings.warn(msg, stacklevel=3)
+        counts[:, unvisited] = 1.0
+        visits[unvisited] = len(counts)
+    counts /= visits
+    return TransitionMatrix(counts, mode=mode, patched_columns=patched)
+
+
 def estimate_transition_markovian(
     dyn: StateDynamics,
     grid: GridSpec,
@@ -182,17 +201,13 @@ def estimate_transition_markovian(
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be >= 1")
     rng = as_rng(rng)
-    centers = reconstruction_matrix(grid)
+    centers = reconstruction_matrix(grid).T
     n = grid.n_cells
-    cols = np.empty((n, n))
+    counts = np.empty((n, n))
     for j, sub in enumerate(rng.spawn(n)):
         w = dyn.noise_sampler(sub, samples_per_cell)
-        src = np.broadcast_to(centers[:, j], (samples_per_cell, grid.ndim))
-        nxt = dyn.step(src, w)
-        counts = np.bincount(cell_index(grid, nxt), minlength=n)
-        cols[:, j] = counts / samples_per_cell
-    cols /= cols.sum(axis=0)
-    return TransitionMatrix(cols, mode="markovian")
+        counts[:, j] = np.bincount(cell_index(grid, dyn.step(centers[j : j + 1], w)), minlength=n)
+    return _chain(counts, "markovian")
 
 
 def estimate_transition_marginal(
@@ -211,7 +226,7 @@ def estimate_transition_marginal(
 
     Each block of up to ``QUANTIZE_BLOCK`` steps draws its noise into one
     time-major ``(steps, n_paths)`` array, is quantized by one ``cell_index``
-    call and is counted; the counts are normalized in place.  Memory is
+    call and is counted.  Memory is
     ``O(n_paths * QUANTIZE_BLOCK + n_cells**2)`` whatever ``path_length``.
     Under the :class:`StateDynamics` split contract the result is bitwise
     that of drawing each path's noise at once and quantizing every step alone.
@@ -220,8 +235,7 @@ def estimate_transition_marginal(
         raise ValueError("need n_paths >= 1 and path_length >= 2")
     rng = as_rng(rng)
     subs = rng.spawn(n_paths)
-    n = grid.n_cells
-    counts = np.zeros((n, n))
+    counts = np.zeros((grid.n_cells, grid.n_cells))
     steps = min(QUANTIZE_BLOCK, path_length - 1)
     block = np.empty((steps + 1, n_paths, dyn.dim))  # row 0: the state the block steps from
     block[0] = dyn.initial_state()
@@ -233,19 +247,7 @@ def estimate_transition_marginal(
         idx = cell_index(grid, block[: m + 1])
         np.add.at(counts, (idx[1:].ravel(), idx[:-1].ravel()), 1.0)
         block[0] = block[m]
-
-    visits = counts.sum(axis=0)
-    unvisited = visits == 0
-    patched = int(unvisited.sum())
-    if patched:
-        warnings.warn(
-            f"marginal estimation left {patched}/{n} cells unvisited; their columns were patched uniform",
-            stacklevel=2,
-        )
-        counts[:, unvisited] = 1.0
-        visits = counts.sum(axis=0)
-    counts /= visits
-    return TransitionMatrix(counts, mode="marginal", patched_columns=patched)
+    return _chain(counts, "marginal")
 
 
 def one_hot_belief(n_cells: int, l: int) -> np.ndarray:

@@ -70,7 +70,7 @@ def test_transition_then_track_then_map(config_path, tmp_path, capsys):
 def test_track_reports_patched_columns_of_saved_transition(tmp_path, capsys):
     # a marginal chain from 2 short paths leaves columns unvisited; the count
     # goes through transition.bin into metrics.json, and an older file
-    # without the count reports it as unknown
+    # without the count is rejected, not run with the count unknown
     cfg = copy.deepcopy(SMALL_CONFIG)
     cfg.update(quantization="marginal", transition={"n_paths": 2, "path_length": 20})
     config_path = tmp_path / "marginal.json"
@@ -87,8 +87,9 @@ def test_track_reports_patched_columns_of_saved_transition(tmp_path, capsys):
     blob = tpath.read_bytes()
     v1 = tmp_path / "v1.bin"
     v1.write_bytes(b"CGRIDP1\x00" + blob[8:16] + blob[24:])
-    assert main(argv + [str(v1)]) == 0
-    assert json.loads((out / "metrics.json").read_text())["patched_columns"] is None
+    capsys.readouterr()
+    assert main(argv + [str(v1)]) == 2
+    assert "--transition" in (err := capsys.readouterr().err) and "bad magic" in err
 
 
 def _transition_fault(blob: bytes, fault: str) -> bytes:
@@ -101,6 +102,13 @@ def _transition_fault(blob: bytes, fault: str) -> bytes:
         return blob[:12] + struct.pack("<I", 9) + blob[16:]
     if fault == "zero_cells":
         return blob[:8] + struct.pack("<I", 0) + blob[12:24]
+    if fault == "other_mode":
+        return blob[:12] + struct.pack("<I", 2) + blob[16:]
+    if fault == "v1":
+        return b"CGRIDP1\x00" + blob[8:16] + blob[24:]
+    if fault.startswith("patched"):
+        n_cells = struct.unpack("<I", blob[8:12])[0]
+        return blob[:16] + struct.pack("<q", -1 if fault == "patched_negative" else n_cells + 1) + blob[24:]
     return blob[:24] + struct.pack("<d", float("nan")) + blob[32:]  # nan_entry
 
 
@@ -115,10 +123,14 @@ def _transition_fault(blob: bytes, fault: str) -> bytes:
         ("other_grid", "2 cells"),
         ("mode_tag", "unknown quantization mode tag 9"),
         ("zero_cells", "at least one cell"),
+        ("other_mode", "a marginal chain, but the config's quantization is markovian"),
+        ("v1", "bad magic"),
+        ("patched_negative", "patched_columns must be an integer in [0, 25], got -1"),
+        ("patched_oversized", "patched_columns must be an integer in [0, 25], got 26"),
     ],
 )
 def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, command, fault, named):
-    # a missing or malformed file, or one for another grid, is a config error: no crash, no run on a bad matrix
+    # a missing or malformed file, or one for another grid or mode, is a config error: no crash, no run on a bad matrix
     out = tmp_path / "artifacts"
     assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
     capsys.readouterr()

@@ -301,20 +301,15 @@ def test_transition_round_trip(tmp_path):
     assert np.array_equal(loaded.matrix, tm.matrix)
 
 
-def test_transition_v1_file_has_unknown_patched_count(tmp_path):
-    # the older 16-byte header carries no patched count: unknown, never 0
+def test_transition_v1_file_is_rejected(tmp_path):
+    # the first version's 16-byte header carries no patched count; only the 24-byte header is read
     rng = np.random.default_rng(0)
     cols = rng.random((4, 4)) + 0.1
     matrix = cols / cols.sum(0)
     path = tmp_path / "v1.bin"
     path.write_bytes(b"CGRIDP1\x00" + struct.pack("<II", 4, 2) + matrix.astype("<f8").tobytes())
-    loaded = load_transition(path)
-    assert loaded.mode == "marginal"
-    assert loaded.patched_columns is None
-    assert np.array_equal(loaded.matrix, matrix)
-    again = tmp_path / "again.bin"
-    save_transition(again, loaded)
-    assert load_transition(again).patched_columns is None
+    with pytest.raises(ValueError, match="bad magic"):
+        load_transition(path)
 
 
 def test_transition_load_rejects_corruption(tmp_path):

@@ -41,8 +41,12 @@ def test_transition_matrix_validation():
         TransitionMatrix(np.eye(2), mode="other")
     with pytest.raises(ValueError, match="at least one cell"):
         TransitionMatrix(np.empty((0, 0)), mode="markovian")
+    for patched in (-1, 3, None):
+        with pytest.raises(ValueError, match=r"patched_columns must be an integer in \[0, 2\]"):
+            TransitionMatrix(FLIP, mode="marginal", patched_columns=patched)
     tm = TransitionMatrix(FLIP, mode="marginal")
     assert tm.n_cells == 2
+    assert tm.patched_columns == 0
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
@@ -102,6 +106,19 @@ def test_markovian_bench_dynamics_support():
         mean1 = np.tanh(1.6 * (centers[0, j] - 2.0)) + 2.0
         reachable = (centers[0] >= mean1 - 1.0 - 4 / 30) & (centers[0] <= mean1 + 1.0 + 4 / 30)
         assert tm.matrix[~reachable, j].sum() == 0.0
+
+
+def test_markovian_column_is_image_counts_over_samples():
+    # one division per column: the bincount of the quantized one-step images over the sample count, exactly
+    grid = GridSpec((0.0, 25.0), (4.0, 25.6), (6, 6))
+    dyn = coupled_tanh_dynamics()
+    samples = 1_000
+    tm = estimate_transition_markovian(dyn, grid, samples_per_cell=samples, rng=7)
+    centers = reconstruction_matrix(grid)
+    for j, sub in enumerate(np.random.default_rng(7).spawn(grid.n_cells)):
+        src = np.tile(centers[:, j], (samples, 1))
+        images = cell_index(grid, dyn.step(src, dyn.noise_sampler(sub, samples)))
+        assert np.array_equal(tm.matrix[:, j], np.bincount(images, minlength=grid.n_cells) / samples)
 
 
 def test_markovian_seed_determinism():
