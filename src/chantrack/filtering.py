@@ -168,8 +168,6 @@ class GridFilter:
             warnings.warn(f"belief reset to uniform at t={obs.t}: observation killed all supported cells", stacklevel=2)
             self.reset_events.append(obs.t)
             belief = uniform_belief(self.n_cells)
-        if abs(belief.sum() - 1.0) > SIMPLEX_TOL:
-            belief = belief / belief.sum()
         self.belief = belief
         return belief.copy()
 

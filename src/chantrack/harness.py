@@ -2,6 +2,9 @@
 
 A scenario is described by a single hierarchical JSON document (all fields
 snake_case, unknown fields rejected), one object per config dataclass.  A
+field's annotation is its JSON shape (``tuple[X, ...]`` a list of ``X``,
+``X | None`` an ``X`` that may be left out), and a field declared with
+``_read_by(kind, default)`` is read only by that ``kind`` of its section.  A
 field is required exactly when its dataclass field has no default; an absent
 optional field takes that default.  The document is valid exactly when
 ``build`` can construct the objects a run uses from it; an ``out_dir`` that
@@ -35,6 +38,8 @@ import numbers
 import os
 import struct
 import time
+import types
+import typing
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -116,30 +121,43 @@ class PhaseFailure(RuntimeError):
 _SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def _convert(value, path: str, kind, depth: int = 0):
-    """``value`` as ``kind`` nested ``depth`` lists deep; a config section is read by :func:`_read`.
+def _convert(value, path: str, hint):
+    """``value`` read as the field annotation ``hint``.
 
+    ``X | None`` reads as ``X`` (JSON ``null`` is no field's value),
+    ``tuple[X, ...]`` as a list of ``X`` and a config section by
+    :func:`_read`; a ``hint`` that is none of these nor a scalar is a reader,
+    called as ``hint(value, path)``.
     No JSON type is coerced into another (a string is not a number or a
     list, a bool is not a number), except that an integer reads as a float.
     A float must be finite: ``json.load`` reads ``NaN`` and ``Infinity``.
     """
-    if depth:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (hint,) = (a for a in args if a is not type(None))
+        return _convert(value, path, hint)
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be a list, got {value!r}")
-        return tuple(_convert(v, f"{path}[{i}]", kind, depth - 1) for i, v in enumerate(value))
-    if dataclasses.is_dataclass(kind):
-        return _read(value, path, kind)
-    if kind not in _SCALARS:
-        return kind(value, path)
-    if isinstance(value, bool) or not isinstance(value, _SCALARS[kind]):
-        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+        return tuple(_convert(v, f"{path}[{i}]", args[0]) for i, v in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        return _read(value, path, hint)
+    if hint not in _SCALARS:
+        return hint(value, path)
+    if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
+        raise ConfigError(f"{path} must be of type {hint.__name__}, got {value!r}")
     try:
-        out = kind(value)
+        out = hint(value)
     except OverflowError:  # an integer literal beyond the float range
         out = np.inf
-    if kind is float and not np.isfinite(out):
+    if hint is float and not np.isfinite(out):
         raise ConfigError(f"{path} must be finite, got {value!r}")
     return out
+
+
+def _read_by(kind: str, default):
+    """A field that only its section's ``kind`` reads; under another kind it must keep ``default``."""
+    return field(default=default, metadata={"kind": kind})
 
 
 @dataclass(frozen=True)
@@ -152,11 +170,11 @@ class GridConfig:
 @dataclass(frozen=True)
 class DynamicsConfig:
     kind: str
-    gamma: float = 1.6
-    initial_state: tuple[float, ...] = (2.0, 25.3)
-    points: tuple | None = None
-    matrix: tuple | None = None
-    initial_index: int = 0
+    gamma: float = _read_by("coupled_tanh", 1.6)
+    initial_state: tuple[float, ...] = _read_by("coupled_tanh", (2.0, 25.3))
+    points: tuple[tuple[float, ...], ...] | None = _read_by("finite_chain", None)
+    matrix: tuple[tuple[float, ...], ...] | None = _read_by("finite_chain", None)
+    initial_index: int = _read_by("finite_chain", 0)
 
 
 @dataclass(frozen=True)
@@ -169,19 +187,19 @@ class TransitionBudget:
 @dataclass(frozen=True)
 class SensorConfig:
     kind: str
-    n: int = 30
-    positions: tuple | None = None
+    n: int = _read_by("lattice", 30)
+    positions: tuple[tuple[float, ...], ...] | None = _read_by("fixed", None)
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    params: tuple
+    params: tuple[_kernel_binding, ...]
     form: str = "exponential-isotropic"
 
 
 @dataclass(frozen=True)
 class SceneConfig:
-    ref_pos: tuple[float, float]
+    ref_pos: tuple[float, ...]
     sensors: SensorConfig
     sigma_xi_sq: float
     kernel: KernelConfig
@@ -192,7 +210,7 @@ class SceneConfig:
 class QueryGridConfig:
     nx: int
     ny: int
-    region: tuple[tuple[float, float], tuple[float, float]]
+    region: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -225,28 +243,6 @@ def _kernel_binding(data, path: str) -> tuple:
     return tag, _convert(value, f"{path}.{tag}", int if tag == "state" else float)
 
 
-# Each config section's JSON fields as ``kind`` or ``(kind, depth)`` for :func:`_convert`.
-_KINDS = {
-    GridConfig: {"lower": (float, 1), "upper": (float, 1), "cells": (int, 1)},
-    DynamicsConfig: {
-        "kind": str, "gamma": float, "initial_state": (float, 1), "points": (float, 2), "matrix": (float, 2),
-        "initial_index": int,
-    },
-    TransitionBudget: {"samples_per_cell": int, "n_paths": int, "path_length": int},
-    SensorConfig: {"kind": str, "n": int, "positions": (float, 2)},
-    KernelConfig: {"params": (_kernel_binding, 1), "form": str},
-    SceneConfig: {
-        "ref_pos": (float, 1), "sensors": SensorConfig, "sigma_xi_sq": float, "kernel": KernelConfig, "mu_index": int,
-    },
-    QueryGridConfig: {"nx": int, "ny": int, "region": (float, 2)},
-    ScenarioConfig: {
-        "grid": GridConfig, "dynamics": DynamicsConfig, "quantization": str, "scene": SceneConfig, "timesteps": int,
-        "query_grid": QueryGridConfig, "seed": int, "transition": TransitionBudget, "horizon": int,
-        "map_snapshots": (int, 1), "out_dir": str,
-    },
-}
-
-
 def _read(data, path: str, cls):
     """The config section ``cls`` read from the JSON object ``data`` at ``path``.
 
@@ -256,12 +252,11 @@ def _read(data, path: str, cls):
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object")
-    kinds, out = _KINDS[cls], {}
+    hints, out = typing.get_type_hints(cls), {}
     for key, value in data.items():
-        if key not in kinds:
+        if key not in hints:
             raise ConfigError(f"unknown field {key!r} in {path}")
-        kind, depth = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key], 0)
-        out[key] = _convert(value, f"{path}.{key}", kind, depth)
+        out[key] = _convert(value, f"{path}.{key}", hints[key])
     for f in dataclasses.fields(cls):
         if f.default is f.default_factory is dataclasses.MISSING and f.name not in data:
             raise ConfigError(f"missing field {f.name!r} in {path}")
@@ -382,13 +377,6 @@ def streams(cfg: ScenarioConfig) -> Streams:
     return Streams(*(np.random.default_rng(ss) for ss in (sensor, transition, truth, obs)))
 
 
-# The fields each dynamics and sensor kind reads; another field of its section must keep its default.
-_READ_BY_KIND = {
-    "coupled_tanh": ("gamma", "initial_state"), "finite_chain": ("points", "matrix", "initial_index"),
-    "lattice": ("n",), "fixed": ("positions",),
-}
-
-
 @contextmanager
 def _fields(names: str):
     """Raise a constructor's ``ValueError`` as a ``ConfigError`` naming the config fields it was built from."""
@@ -418,7 +406,7 @@ def build(cfg: ScenarioConfig):
             raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
     for name, section in (("dynamics", cfg.dynamics), ("scene.sensors", sc.sensors)):
         for f in dataclasses.fields(section):
-            if f.name not in ("kind", *_READ_BY_KIND[section.kind]) and getattr(section, f.name) != f.default:
+            if f.metadata.get("kind", section.kind) != section.kind and getattr(section, f.name) != f.default:
                 raise ConfigError(f"{name}.{f.name} is not read by {name}.kind {section.kind!r}")
     for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
         if getattr(cfg.transition, name) < least:
@@ -435,8 +423,7 @@ def build(cfg: ScenarioConfig):
     with _fields("grid"):
         grid = build_grid(cfg)
     d = cfg.dynamics
-    chain_fields = "dynamics.points, dynamics.matrix, dynamics.initial_index"
-    with _fields("dynamics.initial_state" if d.kind == "coupled_tanh" else chain_fields):
+    with _fields(", ".join(f"dynamics.{f.name}" for f in dataclasses.fields(d) if f.metadata.get("kind") == d.kind)):
         dyn = build_dynamics(cfg)
     if dyn.dim != grid.ndim:
         raise ConfigError(f"dynamics ({d.kind}) has {dyn.dim}-dimensional states; the grid has {grid.ndim} dimensions")

@@ -99,7 +99,7 @@ class TransitionMatrix:
         colsum_err = np.max(np.abs(m.sum(axis=0) - 1.0))
         if colsum_err > COLUMN_SUM_TOL:
             raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, max error {colsum_err:.3e}")
-        if not (isinstance(self.patched_columns, int) and 0 <= self.patched_columns <= len(m)):
+        if not (type(self.patched_columns) is int and 0 <= self.patched_columns <= len(m)):  # a bool is not a count
             raise ValueError(f"patched_columns must be an integer in [0, {len(m)}], got {self.patched_columns!r}")
         object.__setattr__(self, "matrix", m)
 

@@ -2,6 +2,7 @@ import copy
 import json
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def _transition_fault(blob: bytes, fault: str) -> bytes:
     """A saved transition file with one fault; ``blob`` is a valid one."""
     if fault == "bad_magic":
         return b"NOTAGRID" + blob[8:]
-    if fault == "wrong_length":
+    if fault in ("wrong_length", "shrank"):
         return blob[:-8]
     if fault == "mode_tag":
         return blob[:12] + struct.pack("<I", 9) + blob[16:]
@@ -127,9 +128,10 @@ def _transition_fault(blob: bytes, fault: str) -> bytes:
         ("v1", "bad magic"),
         ("patched_negative", "patched_columns must be an integer in [0, 25], got -1"),
         ("patched_oversized", "patched_columns must be an integer in [0, 25], got 26"),
+        ("shrank", "file shrank while it was read"),
     ],
 )
-def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, command, fault, named):
+def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, monkeypatch, command, fault, named):
     # a missing or malformed file, or one for another grid or mode, is a config error: no crash, no run on a bad matrix
     out = tmp_path / "artifacts"
     assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
@@ -138,7 +140,10 @@ def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys,
     if fault == "other_grid":
         save_transition(bad, TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), mode="markovian"))
     elif fault != "missing":
-        bad.write_bytes(_transition_fault((out / "transition.bin").read_bytes(), fault))
+        blob = (out / "transition.bin").read_bytes()
+        bad.write_bytes(_transition_fault(blob, fault))
+    if fault == "shrank":  # the size check sees the uncut file, as when it is cut between the check and the read
+        monkeypatch.setattr(harness.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
     argv = [command, "--config", str(config_path), "--out", str(out), "--transition", str(bad)]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -251,6 +256,7 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
         ("scene", "kernel", {"params": [{"state": 1}]}, "scene.kernel.params"),
         ("scene", "kernel", {"params": [{"state": 1, "const": 25.0}, {"const": 10.0}]}, "params[0] must set exactly one"),
         ("scene", "kernel", {"params": [{"state": 1}, {}]}, "params[1] must set exactly one"),
+        ("scene", "kernel", {"params": [{"stat": 1}, {"const": 10.0}]}, "'stat'"),
         ("scene", "kernel", {"form": "gaussian", "params": [{"state": 1}, {"const": 10.0}]}, "scene.kernel.form"),
         ("grid", "lower", [0.0, -5.0], "scene.kernel.params"),  # shadowing power bound to a range below 0
         ("scene", "sensors", {"kind": "fixed", "positions": [[1.0, 2.0, 3.0]]}, "scene.sensors.positions"),

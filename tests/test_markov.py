@@ -41,7 +41,7 @@ def test_transition_matrix_validation():
         TransitionMatrix(np.eye(2), mode="other")
     with pytest.raises(ValueError, match="at least one cell"):
         TransitionMatrix(np.empty((0, 0)), mode="markovian")
-    for patched in (-1, 3, None):
+    for patched in (-1, 3, None, True):
         with pytest.raises(ValueError, match=r"patched_columns must be an integer in \[0, 2\]"):
             TransitionMatrix(FLIP, mode="marginal", patched_columns=patched)
     tm = TransitionMatrix(FLIP, mode="marginal")
