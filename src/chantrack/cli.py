@@ -8,9 +8,13 @@ Subcommands::
     experiment    run the full pipeline (estimation, tracking, maps, metrics)
     oracle-check  compare the recursion against exhaustive path enumeration
 
+``track`` and ``predict-map`` reject a ``--transition`` chain estimated for
+another grid, dynamics or quantization than the config's.
+
 Exit codes: 0 success, 2 configuration validation failure (an ``out_dir``
-that cannot be created or written into included), 3 numerical failure (with
-phase context on stderr).
+that cannot be created or written into, a faulty ``--transition`` file and
+an ``oracle-check`` count or seed out of range included), 3 numerical
+failure (with phase context on stderr).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .harness import (
     _writing,
     benchmark_config,
     build,
-    build_grid,
     config_from_json,
     estimate_transition,
     load_transition,
@@ -103,23 +106,17 @@ def _cmd_transition(args) -> int:
     with _phase({}, "transition"):
         tm = estimate_transition(cfg, dyn, grid, streams(cfg).transition)
     with _writing(cfg):
-        save_transition(path, tm)
+        save_transition(path, tm, cfg)
     print(f"wrote {path} ({tm.n_cells} cells, mode={tm.mode}, patched_columns={tm.patched_columns})")
     return 0
 
 
 def _load_transition_arg(cfg, path):
-    """The ``--transition`` file; a missing or malformed one, or one for another grid or mode, is a ``ConfigError``."""
+    """The ``--transition`` file for ``cfg``; a missing, malformed or mismatched one is a ``ConfigError``."""
     try:
-        tm = load_transition(path)
+        return load_transition(path, cfg)
     except (OSError, ValueError) as e:
         raise ConfigError(f"--transition: {e}") from e
-    n_cells = build_grid(cfg).n_cells
-    if tm.n_cells != n_cells:
-        raise ConfigError(f"--transition: {tm.n_cells} cells, but the grid has {n_cells}")
-    if tm.mode != cfg.quantization:
-        raise ConfigError(f"--transition: a {tm.mode} chain, but the config's quantization is {cfg.quantization}")
-    return tm
 
 
 def _cmd_track(args) -> int:
@@ -158,6 +155,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    for flag, value, least in (("--scenarios", args.scenarios, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     with _phase({}, "oracle-check"):
         worst = oracle_check(n_scenarios=args.scenarios, seed=args.seed)
     status = "OK" if worst <= ORACLE_TOL else "FAIL"

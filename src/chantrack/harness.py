@@ -25,14 +25,20 @@ snapshot times and write the artifacts:
   ``reset_times`` (the timesteps of belief resets) and ``patched_columns``
   (the integer count of transition columns patched uniform for
   never-visited cells)
-* ``config_echo.json``  -- the resolved configuration
+* ``config_echo.json``  -- the resolved configuration, less the fields its kinds do not read
 
-Identical configurations produce byte-identical CSV artifacts.
+Identical configurations produce byte-identical CSV artifacts.  A saved chain,
+``transition.bin``, is a 112-byte header (the magic ``CGRIDP3\\0``, the sha256 of
+the canonical JSON of the echo's ``grid``, ``dynamics`` and ``quantization``, the
+patched count as ``<q``), then the row-major ``<f8`` matrix.  It loads only for a
+config with those three sections; the seed and the ``transition`` budget are not
+part of that key, so one chain serves many seeds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import numbers
 import os
@@ -160,6 +166,11 @@ def _read_by(kind: str, default):
     return field(default=default, metadata={"kind": kind})
 
 
+def _unread(section, f: dataclasses.Field) -> bool:
+    """Whether ``f`` is a field of ``section`` that its kind does not read."""
+    return "kind" in f.metadata and f.metadata["kind"] != section.kind
+
+
 @dataclass(frozen=True)
 class GridConfig:
     lower: tuple[float, ...]
@@ -278,10 +289,12 @@ def config_from_json(path) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain-JSON echo of a configuration (inverse of ``config_from_dict``); unset (``None``) fields are left out."""
-    out = dataclasses.asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
-    out["scene"]["kernel"]["params"] = [{tag: value} for tag, value in cfg.scene.kernel.params]
+def config_to_dict(cfg) -> dict:
+    """Plain-JSON echo of a config or section (inverse of ``config_from_dict``), less fields unset or unread."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if not _unread(cfg, f)}
+    out = {k: config_to_dict(v) if dataclasses.is_dataclass(v) else v for k, v in values.items() if v is not None}
+    if isinstance(cfg, KernelConfig):
+        out["params"] = [{tag: value} for tag, value in cfg.params]
     return out
 
 
@@ -406,7 +419,7 @@ def build(cfg: ScenarioConfig):
             raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
     for name, section in (("dynamics", cfg.dynamics), ("scene.sensors", sc.sensors)):
         for f in dataclasses.fields(section):
-            if f.metadata.get("kind", section.kind) != section.kind and getattr(section, f.name) != f.default:
+            if _unread(section, f) and getattr(section, f.name) != f.default:
                 raise ConfigError(f"{name}.{f.name} is not read by {name}.kind {section.kind!r}")
     for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
         if getattr(cfg.transition, name) < least:
@@ -651,45 +664,47 @@ def run_experiment(
     return metrics
 
 
-TRANSITION_MAGIC = b"CGRIDP2\x00"
-_MODE_TAGS = {"markovian": 1, "marginal": 2}
-_TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
+TRANSITION_MAGIC = b"CGRIDP3\x00"
+_TRANSITION_KEY = ("grid", "dynamics", "quantization")
+_TRANSITION_HEADER = struct.Struct("<8s32s32s32sq")  # the magic, a digest per key section, the patched count
 
 
-def save_transition(path, transition: TransitionMatrix) -> None:
-    """Persist a transition matrix: 24-byte header then row-major little-endian f64.
+def _transition_key(cfg: ScenarioConfig) -> list[bytes]:
+    """The sha256 of each key section's canonical JSON, from the echo read back, so an ``int`` keys as a ``float``."""
+    echo = config_to_dict(_read(config_to_dict(cfg), "config", ScenarioConfig))
+    return [hashlib.sha256(json.dumps(echo[name], sort_keys=True).encode()).digest() for name in _TRANSITION_KEY]
 
-    The header is the magic, the cell count and mode tag (``u32`` each) and
-    the patched column count (``i64``).
-    """
-    patched = transition.patched_columns
-    header = TRANSITION_MAGIC + struct.pack("<IIq", transition.n_cells, _MODE_TAGS[transition.mode], patched)
+
+def save_transition(path, transition: TransitionMatrix, cfg: ScenarioConfig) -> None:
+    """Persist a transition matrix estimated for ``cfg``: the header, then row-major little-endian f64."""
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_TRANSITION_HEADER.pack(TRANSITION_MAGIC, *_transition_key(cfg), transition.patched_columns))
         fh.write(memoryview(np.ascontiguousarray(transition.matrix, dtype="<f8")))
 
 
-def load_transition(path) -> TransitionMatrix:
-    """Read a file written by :func:`save_transition`.
+def load_transition(path, cfg: ScenarioConfig) -> TransitionMatrix:
+    """Read a file written by :func:`save_transition` for ``cfg``'s grid, dynamics and quantization.
 
-    Any other header (such as the first version's 16 bytes) is "bad magic";
-    a patched count outside ``[0, n_cells]`` is a ``ValueError`` too.
+    Another header (as the first two versions') is "bad magic"; another key section, a size other
+    than ``cfg``'s grid's or a patched count outside ``[0, n_cells]`` is a ``ValueError`` as well.
     """
     with open(path, "rb") as fh:
-        head = fh.read(24)
-        if head[:8] != TRANSITION_MAGIC or len(head) != 24:
+        head = fh.read(_TRANSITION_HEADER.size)
+        if head[:8] != TRANSITION_MAGIC or len(head) != _TRANSITION_HEADER.size:
             raise ValueError(f"{path}: not a transition matrix file (bad magic)")
-        n, tag, patched = struct.unpack("<IIq", head[8:])
-        if tag not in _TAG_MODES:
-            raise ValueError(f"{path}: unknown quantization mode tag {tag}")
-        expected = 24 + 8 * n * n
+        _, *digests, patched = _TRANSITION_HEADER.unpack(head)
+        other = [name for name, a, b in zip(_TRANSITION_KEY, digests, _transition_key(cfg)) if a != b]
+        if other:
+            raise ValueError(f"{path}: estimated for another {' and '.join(other)} than the config's")
+        n = build_grid(cfg).n_cells
+        expected = _TRANSITION_HEADER.size + 8 * n * n
         size = os.fstat(fh.fileno()).st_size
         if size != expected:  # checked before the payload is allocated
             raise ValueError(f"{path}: expected {expected} bytes for {n} cells, got {size}")
         matrix = np.empty((n, n), dtype="<f8")
-        if fh.readinto(matrix) != size - 24:
+        if fh.readinto(matrix) != size - _TRANSITION_HEADER.size:
             raise ValueError(f"{path}: file shrank while it was read")
-    return TransitionMatrix(matrix, mode=_TAG_MODES[tag], patched_columns=patched)
+    return TransitionMatrix(matrix, mode=cfg.quantization, patched_columns=patched)
 
 
 def random_small_scenario(rng, n_cells: int, n_sensors: int, n_obs: int):

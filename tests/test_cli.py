@@ -9,8 +9,7 @@ import pytest
 
 from chantrack import cli, harness
 from chantrack.cli import main
-from chantrack.harness import ConfigError, ScenarioConfig, config_from_dict, save_transition
-from chantrack.markov import TransitionMatrix
+from chantrack.harness import ConfigError, ScenarioConfig, benchmark_config, config_from_dict, config_to_dict
 
 SMALL_CONFIG = {
     "grid": {"lower": [0.0, 25.0], "upper": [4.0, 25.6], "cells": [5, 5]},
@@ -71,7 +70,7 @@ def test_transition_then_track_then_map(config_path, tmp_path, capsys):
 def test_track_reports_patched_columns_of_saved_transition(tmp_path, capsys):
     # a marginal chain from 2 short paths leaves columns unvisited; the count
     # goes through transition.bin into metrics.json, and an older file
-    # without the count is rejected, not run with the count unknown
+    # without the key is rejected, not run on a chain of unknown origin
     cfg = copy.deepcopy(SMALL_CONFIG)
     cfg.update(quantization="marginal", transition={"n_paths": 2, "path_length": 20})
     config_path = tmp_path / "marginal.json"
@@ -86,31 +85,38 @@ def test_track_reports_patched_columns_of_saved_transition(tmp_path, capsys):
     assert json.loads((out / "metrics.json").read_text())["patched_columns"] == printed
 
     blob = tpath.read_bytes()
-    v1 = tmp_path / "v1.bin"
-    v1.write_bytes(b"CGRIDP1\x00" + blob[8:16] + blob[24:])
+    v2 = tmp_path / "v2.bin"  # the second version's header: cell count, mode tag 2 (marginal), patched count
+    v2.write_bytes(b"CGRIDP2\x00" + struct.pack("<IIq", 25, 2, printed) + blob[112:])
     capsys.readouterr()
-    assert main(argv + [str(v1)]) == 2
+    assert main(argv + [str(v2)]) == 2
     assert "--transition" in (err := capsys.readouterr().err) and "bad magic" in err
 
 
 def _transition_fault(blob: bytes, fault: str) -> bytes:
-    """A saved transition file with one fault; ``blob`` is a valid one."""
+    """A saved transition file of ``SMALL_CONFIG`` (25 cells) with one fault; ``blob`` is a valid one.
+
+    The header is 112 bytes: the magic, three section digests and the patched count.
+    """
     if fault == "bad_magic":
         return b"NOTAGRID" + blob[8:]
     if fault in ("wrong_length", "shrank"):
         return blob[:-8]
-    if fault == "mode_tag":
-        return blob[:12] + struct.pack("<I", 9) + blob[16:]
-    if fault == "zero_cells":
-        return blob[:8] + struct.pack("<I", 0) + blob[12:24]
-    if fault == "other_mode":
-        return blob[:12] + struct.pack("<I", 2) + blob[16:]
     if fault == "v1":
-        return b"CGRIDP1\x00" + blob[8:16] + blob[24:]
+        return b"CGRIDP1\x00" + struct.pack("<II", 25, 1) + blob[112:]
+    if fault == "v2":
+        return b"CGRIDP2\x00" + struct.pack("<IIq", 25, 1, 0) + blob[112:]
     if fault.startswith("patched"):
-        n_cells = struct.unpack("<I", blob[8:12])[0]
-        return blob[:16] + struct.pack("<q", -1 if fault == "patched_negative" else n_cells + 1) + blob[24:]
-    return blob[:24] + struct.pack("<d", float("nan")) + blob[32:]  # nan_entry
+        return blob[:104] + struct.pack("<q", -1 if fault == "patched_negative" else 26) + blob[112:]
+    return blob[:112] + struct.pack("<d", float("nan")) + blob[120:]  # nan_entry
+
+
+# SMALL_CONFIG with one key section changed: a chain estimated for one of these does not fit SMALL_CONFIG
+_OTHER_KEY = {
+    "other_grid": {"grid": {"lower": [0.0, 25.0], "upper": [4.0, 25.6], "cells": [2, 1]}},
+    "same_cells_other_grid": {"grid": {"lower": [0.0, 20.0], "upper": [4.0, 30.0], "cells": [5, 5]}},
+    "other_dynamics": {"dynamics": {"kind": "coupled_tanh", "gamma": 1.7}},
+    "other_mode": {"quantization": "marginal"},
+}
 
 
 @pytest.mark.parametrize("command", ["track", "predict-map"])
@@ -121,33 +127,55 @@ def _transition_fault(blob: bytes, fault: str) -> bytes:
         ("bad_magic", "bad magic"),
         ("wrong_length", "expected"),
         ("nan_entry", "[0, 1]"),
-        ("other_grid", "2 cells"),
-        ("mode_tag", "unknown quantization mode tag 9"),
-        ("zero_cells", "at least one cell"),
-        ("other_mode", "a marginal chain, but the config's quantization is markovian"),
+        ("other_grid", "estimated for another grid than the config's"),
+        ("same_cells_other_grid", "estimated for another grid than the config's"),
+        ("other_dynamics", "estimated for another dynamics than the config's"),
+        ("other_mode", "estimated for another quantization than the config's"),
         ("v1", "bad magic"),
+        ("v2", "bad magic"),
         ("patched_negative", "patched_columns must be an integer in [0, 25], got -1"),
         ("patched_oversized", "patched_columns must be an integer in [0, 25], got 26"),
         ("shrank", "file shrank while it was read"),
     ],
 )
 def test_transition_file_faults_are_config_errors(config_path, tmp_path, capsys, monkeypatch, command, fault, named):
-    # a missing or malformed file, or one for another grid or mode, is a config error: no crash, no run on a bad matrix
+    # a missing or malformed file, or one estimated for another grid, dynamics
+    # or quantization, is a config error: no crash, no run on a bad matrix
     out = tmp_path / "artifacts"
     assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
     capsys.readouterr()
     bad = tmp_path / "bad.bin"
-    if fault == "other_grid":
-        save_transition(bad, TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), mode="markovian"))
+    if fault in _OTHER_KEY:
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(SMALL_CONFIG | _OTHER_KEY[fault]))
+        with warnings.catch_warnings():  # the marginal chain patches the cells the dynamics never visits
+            warnings.simplefilter("ignore")
+            assert main(["transition", "--config", str(other), "--out", str(tmp_path / "other")]) == 0
+        (tmp_path / "other" / "transition.bin").rename(bad)
     elif fault != "missing":
         blob = (out / "transition.bin").read_bytes()
         bad.write_bytes(_transition_fault(blob, fault))
     if fault == "shrank":  # the size check sees the uncut file, as when it is cut between the check and the read
         monkeypatch.setattr(harness.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
     argv = [command, "--config", str(config_path), "--out", str(out), "--transition", str(bad)]
+    capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "--transition" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "change", [{"seed": 99}, {"transition": {"samples_per_cell": 7}}, {"transition": {"n_paths": 3, "path_length": 9}}]
+)
+def test_saved_chain_serves_another_seed_and_budget(config_path, tmp_path, change):
+    # the seed and the transition budget are not part of a chain's key: one chain tracks many seeds
+    out = tmp_path / "artifacts"
+    assert main(["transition", "--config", str(config_path), "--out", str(out)]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(SMALL_CONFIG | change))
+    for command in ("track", "predict-map"):
+        argv = [command, "--config", str(other), "--out", str(out), "--transition", str(out / "transition.bin")]
+        assert main(argv) == 0
 
 
 def _numeric_leaves(node, path=""):
@@ -364,6 +392,14 @@ def test_oracle_check_command(capsys):
     assert "oracle-check" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [("--scenarios", "0"), ("--scenarios", "-5"), ("--seed", "-3")])
+def test_oracle_check_bad_flag_is_config_error(capsys, flag, value):
+    # a check over no scenarios checks nothing, and a negative seed is no seed: neither is OK or a numerical failure
+    assert main(["oracle-check", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag} must be >=" in err and "numerical failure" not in err
+
+
 def test_oracle_check_numerical_failure_exit_code(monkeypatch, capsys):
     def singular(**_):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -472,6 +508,17 @@ def _mutants():
             test_id = "-".join([name, ".".join(map(str, parents + [leaf])), label])
             out.setdefault(json.dumps(cfg, sort_keys=True), pytest.param(cfg, id=test_id))
     return list(out.values())
+
+
+def test_echo_states_only_what_the_run_reads():
+    # a field that its section's kind does not read is left out of the echo, which still reads back equal
+    chain, small, bench = config_from_dict(CHAIN_CONFIG), config_from_dict(SMALL_CONFIG), benchmark_config()
+    echo = config_to_dict(chain)
+    assert {"gamma", "initial_state"}.isdisjoint(echo["dynamics"]) and "n" not in echo["scene"]["sensors"]
+    assert "initial_index" not in config_to_dict(bench)["dynamics"]
+    assert "positions" not in config_to_dict(small)["scene"]["sensors"]
+    for cfg in (chain, small, bench):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("cfg", _mutants())

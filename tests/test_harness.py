@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import struct
 
@@ -11,6 +13,7 @@ from chantrack.filtering import GridFilter, brute_force_posterior
 from chantrack.grid import reconstruction_matrix
 from chantrack.harness import (
     ConfigError,
+    GridConfig,
     PhaseFailure,
     ScenarioConfig,
     benchmark_config,
@@ -287,44 +290,59 @@ def test_l_sweep_quantization_error_scaling():
     assert rows[16] == pytest.approx(rows[8] / 2, rel=1e-9)
 
 
+def _chain(n: int, mode: str, patched: int = 0) -> TransitionMatrix:
+    cols = np.random.default_rng(0).random((n, n)) + 0.1
+    return TransitionMatrix(cols / cols.sum(0), mode=mode, patched_columns=patched)
+
+
 def test_transition_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    cols = rng.random((5, 5)) + 0.1
-    tm = TransitionMatrix(cols / cols.sum(0), mode="marginal", patched_columns=2)
+    cfg = config_from_dict(small_config_dict(quantization="marginal"))
+    tm = _chain(36, "marginal", patched=2)
     path = tmp_path / "transition.bin"
-    save_transition(path, tm)
+    save_transition(path, tm, cfg)
     blob = path.read_bytes()
-    assert blob == b"CGRIDP2\x00" + struct.pack("<IIq", 5, 2, 2) + tm.matrix.astype("<f8").tobytes()
-    loaded = load_transition(path)
+    echo = config_to_dict(cfg)
+    key = b"".join(
+        hashlib.sha256(json.dumps(echo[name], sort_keys=True).encode()).digest()
+        for name in ("grid", "dynamics", "quantization")
+    )
+    assert blob == b"CGRIDP3\x00" + key + struct.pack("<q", 2) + tm.matrix.astype("<f8").tobytes()
+    assert len(blob) == 112 + 8 * 36 * 36
+    loaded = load_transition(path, cfg)
     assert loaded.mode == "marginal"
     assert loaded.patched_columns == 2
     assert np.array_equal(loaded.matrix, tm.matrix)
+    again = tmp_path / "again.bin"
+    save_transition(again, loaded, cfg)
+    assert again.read_bytes() == blob
+    # a config built in code with integers keys as its JSON reading does, with floats
+    ints = dataclasses.replace(cfg, grid=GridConfig(lower=(0, 25), upper=(4, 25.6), cells=(6, 6)))
+    assert config_to_dict(ints)["grid"]["lower"] == (0, 25)
+    assert np.array_equal(load_transition(path, ints).matrix, tm.matrix)
 
 
 def test_transition_v1_file_is_rejected(tmp_path):
-    # the first version's 16-byte header carries no patched count; only the 24-byte header is read
-    rng = np.random.default_rng(0)
-    cols = rng.random((4, 4)) + 0.1
-    matrix = cols / cols.sum(0)
-    path = tmp_path / "v1.bin"
-    path.write_bytes(b"CGRIDP1\x00" + struct.pack("<II", 4, 2) + matrix.astype("<f8").tobytes())
-    with pytest.raises(ValueError, match="bad magic"):
-        load_transition(path)
+    # neither older header (16 bytes, then 24) says what the chain was estimated from; only the 112-byte one is read
+    cfg = config_from_dict(small_config_dict())
+    payload = _chain(36, "markovian").matrix.astype("<f8").tobytes()
+    path = tmp_path / "old.bin"
+    for header in (b"CGRIDP1\x00" + struct.pack("<II", 36, 1), b"CGRIDP2\x00" + struct.pack("<IIq", 36, 1, 0)):
+        path.write_bytes(header + payload)
+        with pytest.raises(ValueError, match="bad magic"):
+            load_transition(path, cfg)
 
 
 def test_transition_load_rejects_corruption(tmp_path):
+    cfg = config_from_dict(small_config_dict())
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
+    path.write_bytes(b"NOTMAGIC" + b"\x00" * 104)
     with pytest.raises(ValueError, match="magic"):
-        load_transition(path)
-    rng = np.random.default_rng(0)
-    cols = rng.random((3, 3)) + 0.1
-    tm = TransitionMatrix(cols / cols.sum(0), mode="markovian")
+        load_transition(path, cfg)
     good = tmp_path / "good.bin"
-    save_transition(good, tm)
+    save_transition(good, _chain(36, "markovian"), cfg)
     good.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(ValueError, match="bytes"):
-        load_transition(good)
+        load_transition(good, cfg)
 
 
 def test_run_experiment_accepts_precomputed_transition(tmp_path):

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from chantrack.cli import main
+from test_cli import SMALL_CONFIG
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,10 +32,17 @@ def test_cli_exit_codes_reach_the_process(tmp_path):
     # `python -m chantrack.cli` exits through entry() and sys.exit with main()'s code
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"grid": {"lower": [0.0], "upper": [1.0], "cells": [2]}}))
+    small, other = tmp_path / "small.json", tmp_path / "other.json"
+    small.write_text(json.dumps(SMALL_CONFIG))
+    other.write_text(json.dumps(SMALL_CONFIG | {"grid": {"lower": [0.0, 20.0], "upper": [4.0, 30.0], "cells": [5, 5]}}))
+    assert main(["transition", "--config", str(other), "--out", str(tmp_path / "other")]) == 0
+    track = ["track", "--config", str(small), "--out", str(tmp_path / "out"), "--transition"]
     env = _source_env()
     for argv, code, printed in (
         (["oracle-check", "--scenarios", "2"], 0, "oracle-check: max belief error"),
         (["experiment", "--config", str(bad), "--out", str(tmp_path / "out")], 2, "config error: missing field"),
+        (["oracle-check", "--scenarios", "0"], 2, "config error: --scenarios"),
+        (track + [str(tmp_path / "other" / "transition.bin")], 2, "another grid"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "chantrack.cli", *argv], env=env, capture_output=True, text=True, timeout=600
