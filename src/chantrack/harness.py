@@ -190,7 +190,7 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class TransitionBudget:
-    samples_per_cell: int = 10_000
+    samples_per_cell: int = 2_000
     n_paths: int = 100
     path_length: int = 10_000
 

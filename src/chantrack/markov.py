@@ -1,23 +1,27 @@
-"""Hidden-state dynamics and Monte-Carlo estimation of quantized transition matrices.
+"""Hidden-state dynamics and estimation of quantized transition matrices.
 
 A :class:`StateDynamics` bundles a stationary transition mapping
-``x_next = step(x, w)`` with white driving noise and a fixed initial state.  Two
-estimators turn such dynamics into a column-stochastic transition matrix
-over the cells of a :class:`~chantrack.grid.GridSpec`:
+``x_next = step(x, w)`` with white scalar driving noise and a fixed initial
+state.  Two estimators turn such dynamics into a column-stochastic transition
+matrix over the cells of a :class:`~chantrack.grid.GridSpec`:
 
 * ``estimate_transition_markovian`` re-seeds the chain at every cell center
-  and quantizes one-step images (requires the transition mapping),
-* ``estimate_transition_marginal`` quantizes long trajectories of the true
-  state and counts cell-to-cell transitions (needs realizations only).  It
-  draws noise, steps, quantizes and counts one block of ``QUANTIZE_BLOCK``
-  steps at a time, so its memory does not grow with the path length, and its
-  result is bitwise that of drawing all noise at once and quantizing per step.
+  and integrates the law of the quantized one-step image over the noise by a
+  randomly shifted midpoint rule on the noise quantile (Cranley & Patterson,
+  1976): column ``j`` counts the images of ``samples_per_cell`` stratified
+  points ``(k + U_j) / M``.  It needs the transition mapping and the quantile.
+* ``estimate_transition_marginal`` quantizes long Monte Carlo trajectories of
+  the true state and counts cell-to-cell transitions (needs realizations
+  only).  It draws noise, steps, quantizes and counts one block of
+  ``QUANTIZE_BLOCK`` steps at a time, so its memory does not grow with the
+  path length, and its result is bitwise that of drawing all noise at once
+  and quantizing per step.
 
 Both end in ``_chain``, which divides each column of the counts once by its
-visits and patches a never-visited one uniform.  Noise draws use per-cell /
-per-path sub-streams spawned from the caller's generator, so a parallel
-implementation over cells or paths would reproduce the sequential result bit
-for bit.
+visits and patches a never-visited one uniform.  The Markovian shifts
+``U_j`` come from one up-front draw of the caller's generator, and the
+marginal paths from sub-streams spawned from it, so a parallel implementation
+over cells or paths would reproduce the sequential result bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from .grid import GridSpec, cell_index, reconstruction_matrix
 from .util import as_rng
@@ -53,23 +58,27 @@ QUANTIZE_BLOCK = 1024  # time steps of the marginal estimator quantized per cell
 
 @dataclass(frozen=True)
 class StateDynamics:
-    """Stationary Markov dynamics ``x_next = step(x, w)`` with white noise from a known initial state.
+    """Stationary Markov dynamics ``x_next = step(x, w)`` with white scalar noise from a known initial state.
 
     ``step`` must be a pure function, deterministic given ``(x, w)`` and
     vectorized over leading axes: it receives states of shape ``(..., dim)``
-    together with noise draws of shape ``(...)`` (or ``(..., noise_dim)``)
-    and returns states of shape ``(..., dim)``, broadcasting one ``(1, dim)``
-    state against all its draws.  ``noise_sampler(rng, size)``
-    draws i.i.d. noise with that shape convention; split draws must equal one
-    call (``m`` then ``k`` draws from a generator give the ``m + k`` values of
-    one call), the condition under which the marginal estimator's result,
-    drawn block by block, does not depend on ``QUANTIZE_BLOCK``.  ``initial``
-    is the fixed state vector the chain starts from.
+    together with scalar noise draws of shape ``(...)`` and returns states of
+    shape ``(..., dim)``, broadcasting one ``(1, dim)`` state against all its
+    draws.  ``noise_sampler(rng, size)`` draws i.i.d. noise of that shape;
+    split draws must equal one call (``m`` then ``k`` draws from a generator
+    give the ``m + k`` values of one call), the condition under which the
+    marginal estimator's result, drawn block by block, does not depend on
+    ``QUANTIZE_BLOCK``.  ``noise_quantile(u)`` states the same law as its
+    inverse CDF, elementwise over any array of ``u`` in ``[0, 1)`` (and at
+    ``1.0``, which rounding can reach): the noise is distributed as
+    ``noise_quantile(U)`` for ``U`` uniform on ``[0, 1)``, atoms included.  ``initial`` is the fixed state vector the
+    chain starts from.
     """
 
     dim: int
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_sampler: Callable[[np.random.Generator, Union[int, tuple]], np.ndarray]
+    noise_quantile: Callable[[np.ndarray], np.ndarray]
     initial: np.ndarray
 
     def initial_state(self) -> np.ndarray:
@@ -134,7 +143,10 @@ def coupled_tanh_dynamics(gamma: float = 1.6, initial=(2.0, 25.3)) -> StateDynam
     def noise(rng, size):
         return np.clip(rng.standard_normal(size), -1.0, 1.0)
 
-    return StateDynamics(dim=2, step=step, noise_sampler=noise, initial=initial)
+    def quantile(u):
+        return np.clip(ndtri(u), -1.0, 1.0)
+
+    return StateDynamics(dim=2, step=step, noise_sampler=noise, noise_quantile=quantile, initial=initial)
 
 
 def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynamics:
@@ -169,7 +181,12 @@ def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynami
     def noise(rng, size):
         return rng.random(size)
 
-    return StateDynamics(dim=pts.shape[1], step=step, noise_sampler=noise, initial=pts[initial_index].copy())
+    def quantile(u):  # step already inverts the column CDF at a uniform
+        return np.asarray(u, dtype=float)
+
+    return StateDynamics(
+        dim=pts.shape[1], step=step, noise_sampler=noise, noise_quantile=quantile, initial=pts[initial_index].copy()
+    )
 
 
 def _chain(counts: np.ndarray, mode: str) -> TransitionMatrix:
@@ -189,23 +206,28 @@ def _chain(counts: np.ndarray, mode: str) -> TransitionMatrix:
 def estimate_transition_markovian(
     dyn: StateDynamics,
     grid: GridSpec,
-    samples_per_cell: int = 10_000,
+    samples_per_cell: int = 2_000,
     rng=None,
 ) -> TransitionMatrix:
     """Estimate the transition matrix of the chain re-seeded at cell centers.
 
-    Column ``j`` is the empirical distribution of the quantized one-step
-    image of cell center ``j`` over ``samples_per_cell`` independent noise
-    draws.  The source state is always the reconstruction point itself.
+    Column ``j`` is the law of the quantized one-step image of cell center
+    ``j``, integrated over the noise by the midpoint rule on its quantile with
+    ``M = samples_per_cell`` points, shifted by one uniform ``U_j`` per cell:
+    the images of ``noise_quantile((k + U_j) / M)``, ``k < M``, counted and
+    divided by ``M``.  The shifts make the estimate unbiased; an interval of
+    length ``l`` in ``u`` holds ``floor(l M)`` or ``ceil(l M)`` of the points,
+    so an entry that ``r`` intervals of ``u`` map to is within ``r / M`` of
+    the exact one.  The source state is always the reconstruction point itself.
     """
-    if samples_per_cell < 1:
-        raise ValueError("samples_per_cell must be >= 1")
-    rng = as_rng(rng)
+    m = _whole(samples_per_cell, "samples_per_cell", 1)
     centers = reconstruction_matrix(grid).T
     n = grid.n_cells
+    shifts = as_rng(rng).random(n)
+    k = np.arange(m)
     counts = np.empty((n, n))
-    for j, sub in enumerate(rng.spawn(n)):
-        w = dyn.noise_sampler(sub, samples_per_cell)
+    for j in range(n):
+        w = dyn.noise_quantile((k + shifts[j]) / m)
         counts[:, j] = np.bincount(cell_index(grid, dyn.step(centers[j : j + 1], w)), minlength=n)
     return _chain(counts, "markovian")
 
@@ -265,17 +287,22 @@ def initial_belief(dyn: StateDynamics, grid: GridSpec) -> np.ndarray:
     return one_hot_belief(grid.n_cells, cell_index(grid, dyn.initial_state()))
 
 
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` of at least ``least``; a bool, a float, a string or a smaller number is a ``ValueError``, never rounded."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def horizon_steps(rho) -> int:
     """The forecast horizon ``rho`` as a step count; a bool, a float, a string or a negative is a ``ValueError``, never rounded."""
-    try:
-        if isinstance(rho, bool):
-            raise TypeError
-        steps = operator.index(rho)
-    except TypeError:
-        raise ValueError(f"rho must be an integer number of steps, got {rho!r}") from None
-    if steps < 0:
-        raise ValueError(f"rho must be >= 0, got {steps}")
-    return steps
+    return _whole(rho, "rho", 0)
 
 
 def propagate_profile(profile, matrix: np.ndarray, rho: int) -> np.ndarray:

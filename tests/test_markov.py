@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import chantrack.markov as markov
 from chantrack.grid import GridSpec, cell_center, cell_index, reconstruction_matrix
@@ -28,6 +29,7 @@ def identity_dynamics(dim=1, initial=None):
         dim=dim,
         step=lambda x, w: np.asarray(x, dtype=float),
         noise_sampler=lambda rng, size: rng.standard_normal(size),
+        noise_quantile=ndtri,
         initial=np.zeros(dim) if initial is None else np.asarray(initial, float),
     )
 
@@ -89,6 +91,7 @@ def test_markovian_uniform_jump_dynamics():
         dim=1,
         step=lambda x, w: np.asarray(w, dtype=float)[..., None],
         noise_sampler=lambda rng, size: rng.random(size),
+        noise_quantile=lambda u: u,
         initial=np.array([0.25]),
     )
     tm = estimate_transition_markovian(dyn, grid, samples_per_cell=10_000, rng=1)
@@ -109,15 +112,17 @@ def test_markovian_bench_dynamics_support():
 
 
 def test_markovian_column_is_image_counts_over_samples():
-    # one division per column: the bincount of the quantized one-step images over the sample count, exactly
+    # one division per column: the bincount of the quantized images of the shifted lattice over its size, exactly
     grid = GridSpec((0.0, 25.0), (4.0, 25.6), (6, 6))
     dyn = coupled_tanh_dynamics()
     samples = 1_000
     tm = estimate_transition_markovian(dyn, grid, samples_per_cell=samples, rng=7)
     centers = reconstruction_matrix(grid)
-    for j, sub in enumerate(np.random.default_rng(7).spawn(grid.n_cells)):
+    shifts = np.random.default_rng(7).random(grid.n_cells)
+    for j, shift in enumerate(shifts):
         src = np.tile(centers[:, j], (samples, 1))
-        images = cell_index(grid, dyn.step(src, dyn.noise_sampler(sub, samples)))
+        w = dyn.noise_quantile((np.arange(samples) + shift) / samples)
+        images = cell_index(grid, dyn.step(src, w))
         assert np.array_equal(tm.matrix[:, j], np.bincount(images, minlength=grid.n_cells) / samples)
 
 
@@ -146,6 +151,65 @@ def test_markovian_concentration_bound():
         if np.max(np.abs(tm.matrix - truth)) <= bound:
             hits += 1
     assert hits >= 0.99 * runs
+
+
+def test_markovian_column_error_within_lattice_bound():
+    # an interval of length l in u holds floor(l M) or ceil(l M) points of any shifted lattice, so an
+    # entry whose cell r intervals of u map to is within r / M of the exact one; the referee is the
+    # midpoint rule at M_ref = 10**6, and r is counted as the runs of its consecutive points in a cell
+    grid, dyn = GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30)), coupled_tanh_dynamics()
+    samples, ref_points = 2_000, 10**6
+    columns = [0, 137, 250, 449, 450, 612, 777, 899]
+    chains = [estimate_transition_markovian(dyn, grid, samples_per_cell=samples, rng=seed) for seed in (0, 1)]
+    midpoints = dyn.noise_quantile((np.arange(ref_points) + 0.5) / ref_points)
+    centers = reconstruction_matrix(grid)
+    for j in columns:
+        images = cell_index(grid, dyn.step(centers[:, j][None], midpoints))
+        reference = np.bincount(images, minlength=grid.n_cells) / ref_points
+        starts = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
+        runs = np.bincount(images[starts], minlength=grid.n_cells)
+        bound = runs * (1.0 / samples + 1.0 / ref_points)
+        for tm in chains:
+            assert np.all(np.abs(tm.matrix[:, j] - reference) <= bound)
+
+
+def test_markovian_finite_chain_columns_within_one_over_m():
+    # a finite chain maps each next state to one interval of u, so every entry is within 1 / M
+    grid = GridSpec((0.0,), (1.0,), (5,))
+    cols = np.random.default_rng(34).random((5, 5)) + 0.05
+    truth = cols / cols.sum(axis=0)
+    dyn = finite_chain_dynamics([cell_center(grid, l) for l in range(5)], truth)
+    for samples in (7, 100, 2_000):
+        for seed in range(5):
+            tm = estimate_transition_markovian(dyn, grid, samples_per_cell=samples, rng=seed)
+            assert np.max(np.abs(tm.matrix - truth)) <= 1.0 / samples
+
+
+def _ks_distance(a, b):
+    """Sup distance between the empirical CDFs of two samples, at both sides of every jump."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return max(
+        np.max(np.abs(np.searchsorted(a, at, side) / len(a) - np.searchsorted(b, at, side) / len(b)))
+        for side in ("left", "right")
+    )
+
+
+@pytest.mark.parametrize("kind", ["coupled_tanh", "finite_chain"])
+def test_noise_sampler_and_quantile_state_one_law(kind):
+    # the DKW inequality (Massart 1990): P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2), so at n draws and
+    # delta = 1e-9 the KS distance stays below sqrt(ln(2 / delta) / 2n); the midpoint grid of the
+    # quantile adds at most 1 / grid to the distance, and each atom is a difference of two CDF values
+    dyn, _, _ = _marginal_edge_case(kind)
+    n, grid_points, delta = 10**5, 10**6, 1e-9
+    eps = math.sqrt(math.log(2.0 / delta) / (2 * n)) + 1.0 / grid_points
+    draws = dyn.noise_sampler(np.random.default_rng(35), n)
+    law = dyn.noise_quantile((np.arange(grid_points) + 0.5) / grid_points)
+    assert _ks_distance(draws, law) <= eps
+    if kind == "coupled_tanh":  # the clip's atoms at -1 and 1, each of mass Phi(-1)
+        for atom in (-1.0, 1.0):
+            assert np.mean(law == atom) == pytest.approx(0.158655, abs=1e-5)
+            assert abs(np.mean(draws == atom) - np.mean(law == atom)) <= 2 * eps
 
 
 def test_marginal_identity_from_fixed_start():
@@ -368,11 +432,21 @@ LINE = GridSpec((0.0,), (1.0,), (2,))
     [
         (lambda: finite_chain_dynamics([0.25, 0.75], FLIP), "points must be a 2-D array"),
         (lambda: estimate_transition_markovian(identity_dynamics(), LINE, 0, rng=0), "samples_per_cell must be >= 1"),
+        (lambda: estimate_transition_markovian(identity_dynamics(), LINE, 2.5, rng=0), "samples_per_cell must be an int"),
+        (lambda: estimate_transition_markovian(identity_dynamics(), LINE, True, rng=0), "samples_per_cell must be an int"),
         (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 0, 10, rng=0), "need n_paths >= 1"),
         (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 1, 1, rng=0), "path_length >= 2"),
         (lambda: simulate_trajectory(identity_dynamics(), -1, 0), "T must be >= 0"),
     ],
-    ids=["flat_chain_points", "markovian_samples", "marginal_paths", "marginal_path_length", "negative_steps"],
+    ids=[
+        "flat_chain_points",
+        "markovian_samples",
+        "markovian_fractional_samples",
+        "markovian_bool_samples",
+        "marginal_paths",
+        "marginal_path_length",
+        "negative_steps",
+    ],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):

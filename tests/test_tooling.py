@@ -82,3 +82,17 @@ def test_map_and_floor_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr[-4000:]
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_markovian_chain_does_not_depend_on_blas_threads(tmp_path):
+    # the benchmark's Markovian transition.bin under 1 and 2 OpenBLAS threads,
+    # byte for byte: the estimator calls no BLAS; about 2 s for both runs
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = _source_env(OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "chantrack.cli", "transition", "--mode", "markovian", "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+        files.append((out / "transition.bin").read_bytes())
+    assert len(files[0]) == 112 + 900 * 900 * 8 and files[0] == files[1]
