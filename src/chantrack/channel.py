@@ -27,7 +27,6 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 from .util import as_rng
 
@@ -39,6 +38,7 @@ __all__ = [
     "ChannelScene",
     "ObservationBatch",
     "kernel_eval",
+    "pairwise_distances",
     "path_loss_coeffs",
     "point_path_loss",
     "build_covariance",
@@ -75,6 +75,24 @@ def kernel_eval(d, theta) -> np.ndarray:
     if (t1 < 0.0).any():
         raise ValueError("shadowing power theta1 must be >= 0")
     return t1 * np.exp(-d / t2)
+
+
+def pairwise_distances(a, b) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` ``(n, k)`` and of ``b`` ``(m, k)``, shape ``(n, m)``.
+
+    The squared coordinate differences are summed in place on the result
+    axis by axis, in axis order, then square-rooted in place: the sum
+    ``scipy.spatial.distance.cdist`` forms, so the two agree bitwise.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros((len(a), len(b)))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -172,7 +190,7 @@ class ChannelScene:
         object.__setattr__(self, "sensors", sens)
         object.__setattr__(self, "sigma_xi_sq", float(self.sigma_xi_sq))
         if sens.ndim == 2:
-            dist = cdist(sens, sens)
+            dist = pairwise_distances(sens, sens)
             dist.flags.writeable = False
             object.__setattr__(self, "_static_distances", dist)
 
@@ -196,7 +214,7 @@ class ChannelScene:
         if self.static:
             return self._static_distances
         pts = self.sensors_at(t)
-        return cdist(pts, pts)
+        return pairwise_distances(pts, pts)
 
 
 @dataclass(frozen=True)
@@ -349,7 +367,7 @@ def _field_draws(theta, points: np.ndarray, rng, size: int | None) -> np.ndarray
             eps = rng.standard_normal((*batch, 2, *lam.shape))
             z = np.fft.fft2(np.sqrt(lam / lam.size) * (eps[..., 0, :, :] + 1j * eps[..., 1, :, :])).real
             return z[..., index[:, 0], index[:, 1]]
-    factor = _chol_psd(kernel_eval(cdist(points, points), theta), theta[0])
+    factor = _chol_psd(kernel_eval(pairwise_distances(points, points), theta), theta[0])
     if size is None:
         return factor @ rng.standard_normal(len(points))
     return rng.standard_normal((size, len(points))) @ factor.T

@@ -83,10 +83,11 @@ def cell_index(grid: GridSpec, x) -> int | np.ndarray:
         raise ValueError(f"expected state of dimension {grid.ndim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("state contains non-finite components")
-    lo = np.asarray(grid.lower)
-    per_axis = np.floor((x - lo) / grid.widths).astype(np.int64)
-    np.clip(per_axis, 0, np.asarray(grid.cells) - 1, out=per_axis)
-    lin = per_axis @ grid.strides
+    per_axis = x - np.asarray(grid.lower)
+    per_axis /= grid.widths
+    np.floor(per_axis, out=per_axis)
+    np.clip(per_axis, 0, np.asarray(grid.cells) - 1, out=per_axis)  # before the cast: 1e19 has no int64
+    lin = per_axis.astype(np.int64) @ grid.strides
     if x.ndim == 1:
         return int(lin)
     return lin

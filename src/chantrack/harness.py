@@ -162,13 +162,19 @@ def _convert(value, path: str, hint):
 
 
 def _read_by(kind: str, default):
-    """A field that only its section's ``kind`` reads; under another kind it must keep ``default``."""
+    """A field that only one ``kind`` of its section reads, which the echo leaves out under another.
+
+    A section's kind is its ``kind`` field; that of ``transition`` is the
+    ``quantization``.  Under another kind a ``dynamics`` or ``scene.sensors``
+    field must keep ``default``; a ``transition`` budget need not, so that
+    one config runs in either mode (``--mode``).
+    """
     return field(default=default, metadata={"kind": kind})
 
 
-def _unread(section, f: dataclasses.Field) -> bool:
-    """Whether ``f`` is a field of ``section`` that its kind does not read."""
-    return "kind" in f.metadata and f.metadata["kind"] != section.kind
+def _unread(f: dataclasses.Field, kind) -> bool:
+    """Whether a section of ``kind`` does not read its field ``f``."""
+    return "kind" in f.metadata and f.metadata["kind"] != kind
 
 
 @dataclass(frozen=True)
@@ -190,9 +196,9 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class TransitionBudget:
-    samples_per_cell: int = 2_000
-    n_paths: int = 100
-    path_length: int = 10_000
+    samples_per_cell: int = _read_by("markovian", 2_000)
+    n_paths: int = _read_by("marginal", 100)
+    path_length: int = _read_by("marginal", 10_000)
 
 
 @dataclass(frozen=True)
@@ -289,10 +295,18 @@ def config_from_json(path) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def config_to_dict(cfg) -> dict:
-    """Plain-JSON echo of a config or section (inverse of ``config_from_dict``), less fields unset or unread."""
-    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if not _unread(cfg, f)}
-    out = {k: config_to_dict(v) if dataclasses.is_dataclass(v) else v for k, v in values.items() if v is not None}
+def config_to_dict(cfg, kind=None) -> dict:
+    """Plain-JSON echo of a config or section (inverse of ``config_from_dict``), less fields unset or unread.
+
+    ``kind`` is the kind of a section with no ``kind`` field, which its parent passes down.
+    """
+    kind = getattr(cfg, "kind", kind)
+    quantization = getattr(cfg, "quantization", None)
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None and not _unread(f, kind):
+            out[f.name] = config_to_dict(value, quantization) if dataclasses.is_dataclass(value) else value
     if isinstance(cfg, KernelConfig):
         out["params"] = [{tag: value} for tag, value in cfg.params]
     return out
@@ -419,7 +433,7 @@ def build(cfg: ScenarioConfig):
             raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
     for name, section in (("dynamics", cfg.dynamics), ("scene.sensors", sc.sensors)):
         for f in dataclasses.fields(section):
-            if _unread(section, f) and getattr(section, f.name) != f.default:
+            if _unread(f, section.kind) and getattr(section, f.name) != f.default:
                 raise ConfigError(f"{name}.{f.name} is not read by {name}.kind {section.kind!r}")
     for name, least in (("samples_per_cell", 1), ("n_paths", 1), ("path_length", 2)):
         if getattr(cfg.transition, name) < least:

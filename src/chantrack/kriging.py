@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.spatial.distance import cdist
 
 from .channel import (
     ObservationBatch,
@@ -49,6 +48,7 @@ from .channel import (
     cross_covariance,
     kernel_classes,
     kernel_eval,
+    pairwise_distances,
     point_path_loss,
 )
 from .filtering import GridFilter
@@ -102,7 +102,7 @@ def _query_blocks(session: GridFilter, obs: ObservationBatch, queries: QuerySpec
     """The query path-loss coefficients ``(Q,)`` and unit-power kernel blocks ``(C, Q, N)``, one per ``theta2``."""
     scene = session.scene
     alpha_q = point_path_loss(scene.ref_pos, queries.points, label="query point")
-    d = cdist(queries.points, scene.sensors_at(obs.t))
+    d = pairwise_distances(queries.points, scene.sensors_at(obs.t))
     return alpha_q, np.stack([kernel_eval(d, (1.0, distance)) for distance in ranges])
 
 

@@ -246,10 +246,10 @@ def estimate_transition_marginal(
     counts.  Columns of never-visited cells are patched with the uniform
     distribution; their count is stored on the result and reported as a warning.
 
-    Each block of up to ``QUANTIZE_BLOCK`` steps draws its noise into one
-    time-major ``(steps, n_paths)`` array, is quantized by one ``cell_index``
-    call and is counted.  Memory is
-    ``O(n_paths * QUANTIZE_BLOCK + n_cells**2)`` whatever ``path_length``.
+    Each block of up to ``QUANTIZE_BLOCK`` steps draws its noise path by path
+    into the columns of one time-major ``(steps, n_paths)`` buffer, which every
+    block reuses, is quantized by one ``cell_index`` call and is counted.
+    Memory is ``O(n_paths * QUANTIZE_BLOCK + n_cells**2)`` whatever ``path_length``.
     Under the :class:`StateDynamics` split contract the result is bitwise
     that of drawing each path's noise at once and quantizing every step alone.
     """
@@ -261,9 +261,11 @@ def estimate_transition_marginal(
     steps = min(QUANTIZE_BLOCK, path_length - 1)
     block = np.empty((steps + 1, n_paths, dyn.dim))  # row 0: the state the block steps from
     block[0] = dyn.initial_state()
+    noise = np.empty((steps, n_paths))  # time-major: step k reads the contiguous row k
     for start in range(0, path_length - 1, steps):
         m = min(steps, path_length - 1 - start)
-        noise = np.stack([dyn.noise_sampler(sub, m) for sub in subs], axis=1)  # step k reads the contiguous row k
+        for p, sub in enumerate(subs):
+            noise[:m, p] = dyn.noise_sampler(sub, m)
         for k in range(m):
             block[k + 1] = dyn.step(block[k], noise[k])
         idx = cell_index(grid, block[: m + 1])

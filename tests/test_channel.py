@@ -22,6 +22,7 @@ from chantrack.channel import (
     gaussian_unnormalized_loglik,
     kernel_eval,
     observation_conditioning,
+    pairwise_distances,
     path_loss_coeffs,
     point_path_loss,
     sample_joint_field,
@@ -45,6 +46,20 @@ def lattice(n, spacing, origin=0.0):
     xs = origin + (np.arange(n) + 0.5) * spacing
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def test_pairwise_distances_equal_cdist_bitwise():
+    # scipy's cdist is the referee: the same per-axis sum of squares, so equal bit for bit
+    from scipy.spatial.distance import cdist
+
+    cfg = benchmark_config()
+    sensors = build_scene(cfg, np.random.default_rng(0)).sensors
+    queries = query_points(cfg)
+    rng = np.random.default_rng(29)
+    a, b = rng.normal(scale=30.0, size=(300, 3)), rng.normal(scale=30.0, size=(200, 3))
+    for u, v in ((sensors, sensors), (queries, sensors), (a, b), (a, a)):
+        assert np.array_equal(pairwise_distances(u, v), cdist(u, v))
+    assert pairwise_distances(queries, sensors).shape == (3600, 30)
 
 
 def test_path_loss_examples():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import struct
 import warnings
@@ -519,6 +520,37 @@ def test_echo_states_only_what_the_run_reads():
     assert "positions" not in config_to_dict(small)["scene"]["sensors"]
     for cfg in (chain, small, bench):
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+# sha256 of the magic and key digests of SMALL_CONFIG's transition.bin, per mode
+SMALL_KEY_SHA256 = {
+    "markovian": "31e450e746c724d2fcec577dbe74f910328c8341653b5d816f2b1e69c8f51431",
+    "marginal": "bd099823e99ea1d4175115548c9aef626c283f747b6875edd8d9d220893d0f6c",
+}
+
+
+def test_echo_leaves_out_the_budget_of_the_other_mode(tmp_path):
+    # one config may carry both budgets (--mode picks the mode); its echo states the one the mode reads,
+    # and the other changes no artifact and not the transition.bin key
+    runs, echoes = {}, {}
+    for mode, samples in (("markovian", 150), ("marginal", 150), ("marginal", 7)):
+        path = tmp_path / f"{mode}{samples}.json"
+        budget = {"samples_per_cell": samples, "n_paths": 3, "path_length": 40}
+        path.write_text(json.dumps(dict(SMALL_CONFIG, transition=budget)))
+        out = runs[mode, samples] = tmp_path / f"out_{mode}{samples}"
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "marginal estimation left", UserWarning)
+            for command in ("transition", "experiment"):
+                assert main([command, "--config", str(path), "--out", str(out), "--mode", mode]) == 0
+        assert hashlib.sha256((out / "transition.bin").read_bytes()[:104]).hexdigest() == SMALL_KEY_SHA256[mode]
+        echo = echoes[mode, samples] = json.loads((out / "config_echo.json").read_text())
+        assert json.loads((out / "metrics.json").read_text())["config"] == echo
+    assert echoes["markovian", 150]["transition"] == {"samples_per_cell": 150}
+    assert echoes["marginal", 150]["transition"] == {"n_paths": 3, "path_length": 40}
+    del echoes["marginal", 150]["out_dir"], echoes["marginal", 7]["out_dir"]
+    assert echoes["marginal", 150] == echoes["marginal", 7]
+    for name in ("transition.bin", "state_trace.csv", "map_t5.csv"):
+        assert (runs["marginal", 150] / name).read_bytes() == (runs["marginal", 7] / name).read_bytes()
 
 
 @pytest.mark.parametrize("cfg", _mutants())

@@ -88,6 +88,19 @@ def test_clamping_idempotence(bench_grid):
     )
 
 
+@pytest.mark.parametrize("big", [1e300, -1e300, 1e19, -1e19, 9e18, -9e18])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_huge_finite_state_clamps_to_boundary_cell(bench_grid, axis, big):
+    # a component beyond the int64 range is clamped before any integer cast
+    x = np.array([2.0, 25.3])
+    x[axis] = big
+    per_axis = [15, 14]
+    per_axis[axis] = 29 if big > 0 else 0
+    expected = per_axis[0] + 30 * per_axis[1]
+    assert cell_index(bench_grid, x) == expected
+    assert np.array_equal(cell_index(bench_grid, np.stack([x, x])), [expected, expected])
+
+
 def test_ordering_deterministic():
     a = GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30))
     b = GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30))

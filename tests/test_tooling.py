@@ -28,6 +28,17 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
 
 
+def test_package_does_not_import_scipy_spatial():
+    # scipy.spatial would add about 5.7 MB of resident memory to every process; about 0.5 s
+    code = (
+        "import sys, chantrack.harness, chantrack.cli, chantrack.kriging; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_exit_codes_reach_the_process(tmp_path):
     # `python -m chantrack.cli` exits through entry() and sys.exit with main()'s code
     bad = tmp_path / "bad.json"
