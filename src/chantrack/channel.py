@@ -74,7 +74,10 @@ def kernel_eval(d, theta) -> np.ndarray:
         raise ValueError("correlation distance theta2 must be > 0")
     if (t1 < 0.0).any():
         raise ValueError("shadowing power theta1 must be >= 0")
-    return t1 * np.exp(-d / t2)
+    out = np.asarray(d / -t2)  # the one result buffer (a 0-d quotient comes back a scalar)
+    np.exp(out, out=out)
+    out *= t1
+    return out if out.ndim else out[()]
 
 
 def pairwise_distances(a, b) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Hidden-state dynamics and estimation of quantized transition matrices.
 
 A :class:`StateDynamics` bundles a stationary transition mapping
-``x_next = step(x, w)`` with white scalar driving noise and a fixed initial
-state.  Two estimators turn such dynamics into a column-stochastic transition
-matrix over the cells of a :class:`~chantrack.grid.GridSpec`:
+``x_next = step(x, w)`` with white scalar driving noise, stated by its
+quantile function alone, and a fixed initial state.  Two estimators turn such
+dynamics into a column-stochastic transition matrix over the cells of a
+:class:`~chantrack.grid.GridSpec`:
 
 * ``estimate_transition_markovian`` re-seeds the chain at every cell center
   and integrates the law of the quantized one-step image over the noise by a
@@ -11,8 +12,8 @@ matrix over the cells of a :class:`~chantrack.grid.GridSpec`:
   1976): column ``j`` counts the images of ``samples_per_cell`` stratified
   points ``(k + U_j) / M``.  It needs the transition mapping and the quantile.
 * ``estimate_transition_marginal`` quantizes long Monte Carlo trajectories of
-  the true state and counts cell-to-cell transitions (needs realizations
-  only).  It draws noise, steps, quantizes and counts one block of
+  the true state and counts cell-to-cell transitions.  It draws noise by
+  :meth:`StateDynamics.noise`, steps, quantizes and counts one block of
   ``QUANTIZE_BLOCK`` steps at a time, so its memory does not grow with the
   path length, and its result is bitwise that of drawing all noise at once
   and quantizing per step.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -64,25 +65,28 @@ class StateDynamics:
     vectorized over leading axes: it receives states of shape ``(..., dim)``
     together with scalar noise draws of shape ``(...)`` and returns states of
     shape ``(..., dim)``, broadcasting one ``(1, dim)`` state against all its
-    draws.  ``noise_sampler(rng, size)`` draws i.i.d. noise of that shape;
-    split draws must equal one call (``m`` then ``k`` draws from a generator
-    give the ``m + k`` values of one call), the condition under which the
-    marginal estimator's result, drawn block by block, does not depend on
-    ``QUANTIZE_BLOCK``.  ``noise_quantile(u)`` states the same law as its
+    draws.  ``noise_quantile(u)`` is the only statement of the noise law: its
     inverse CDF, elementwise over any array of ``u`` in ``[0, 1)`` (and at
-    ``1.0``, which rounding can reach): the noise is distributed as
-    ``noise_quantile(U)`` for ``U`` uniform on ``[0, 1)``, atoms included.  ``initial`` is the fixed state vector the
-    chain starts from.
+    ``1.0``, which rounding can reach), so the noise is distributed as
+    ``noise_quantile(U)`` for ``U`` uniform on ``[0, 1)``, atoms included.
+    ``initial`` is the fixed state vector the chain starts from; ``dim`` is
+    its length.
     """
 
-    dim: int
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    noise_sampler: Callable[[np.random.Generator, Union[int, tuple]], np.ndarray]
     noise_quantile: Callable[[np.ndarray], np.ndarray]
     initial: np.ndarray
 
+    @property
+    def dim(self) -> int:
+        return len(self.initial)
+
     def initial_state(self) -> np.ndarray:
         return np.asarray(self.initial, dtype=float).copy()
+
+    def noise(self, rng: np.random.Generator, size) -> np.ndarray:
+        """``size`` i.i.d. draws by inverse transform (Devroye 1986, II.2); split draws equal one call, as ``rng.random``'s do."""
+        return self.noise_quantile(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -140,13 +144,10 @@ def coupled_tanh_dynamics(gamma: float = 1.6, initial=(2.0, 25.3)) -> StateDynam
         n2 = 0.3 * np.abs(np.tanh(np.sin(g * x2 * w) + x2 * w) + w) + 25.0
         return np.stack([n1, n2], axis=-1)
 
-    def noise(rng, size):
-        return np.clip(rng.standard_normal(size), -1.0, 1.0)
-
     def quantile(u):
         return np.clip(ndtri(u), -1.0, 1.0)
 
-    return StateDynamics(dim=2, step=step, noise_sampler=noise, noise_quantile=quantile, initial=initial)
+    return StateDynamics(step=step, noise_quantile=quantile, initial=initial)
 
 
 def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynamics:
@@ -178,15 +179,10 @@ def finite_chain_dynamics(points, matrix, initial_index: int = 0) -> StateDynami
         nxt = np.clip((cdf_rows[cur] < w[..., None]).sum(axis=-1), 0, len(pts) - 1)
         return pts[nxt]
 
-    def noise(rng, size):
-        return rng.random(size)
-
     def quantile(u):  # step already inverts the column CDF at a uniform
         return np.asarray(u, dtype=float)
 
-    return StateDynamics(
-        dim=pts.shape[1], step=step, noise_sampler=noise, noise_quantile=quantile, initial=pts[initial_index].copy()
-    )
+    return StateDynamics(step=step, noise_quantile=quantile, initial=pts[initial_index].copy())
 
 
 def _chain(counts: np.ndarray, mode: str) -> TransitionMatrix:
@@ -250,11 +246,11 @@ def estimate_transition_marginal(
     into the columns of one time-major ``(steps, n_paths)`` buffer, which every
     block reuses, is quantized by one ``cell_index`` call and is counted.
     Memory is ``O(n_paths * QUANTIZE_BLOCK + n_cells**2)`` whatever ``path_length``.
-    Under the :class:`StateDynamics` split contract the result is bitwise
-    that of drawing each path's noise at once and quantizing every step alone.
+    Split draws of :meth:`StateDynamics.noise` equal one call, so the result is
+    bitwise that of drawing each path's noise at once and quantizing every step alone.
     """
-    if n_paths < 1 or path_length < 2:
-        raise ValueError("need n_paths >= 1 and path_length >= 2")
+    n_paths = _whole(n_paths, "n_paths", 1)
+    path_length = _whole(path_length, "path_length", 2)
     rng = as_rng(rng)
     subs = rng.spawn(n_paths)
     counts = np.zeros((grid.n_cells, grid.n_cells))
@@ -265,7 +261,7 @@ def estimate_transition_marginal(
     for start in range(0, path_length - 1, steps):
         m = min(steps, path_length - 1 - start)
         for p, sub in enumerate(subs):
-            noise[:m, p] = dyn.noise_sampler(sub, m)
+            noise[:m, p] = dyn.noise(sub, m)
         for k in range(m):
             block[k + 1] = dyn.step(block[k], noise[k])
         idx = cell_index(grid, block[: m + 1])
@@ -327,14 +323,13 @@ def simulate_trajectory(dyn: StateDynamics, T: int, rng=None) -> np.ndarray:
     Row 0 is the initial state; row ``t`` is reached after ``t`` steps with
     fresh independent noise.  Deterministic given the generator state.
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    T = _whole(T, "T", 0)
     rng = as_rng(rng)
     out = np.empty((T + 1, dyn.dim))
     x = dyn.initial_state()
     out[0] = x
     if T:
-        w = dyn.noise_sampler(rng, T)
+        w = dyn.noise(rng, T)
         for t in range(T):
             x = dyn.step(x, w[t])
             out[t + 1] = x

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -402,6 +403,23 @@ def test_joint_field_path_selection(monkeypatch):
     assert calls == [101, 100]
 
 
+def test_dense_joint_field_draw_holds_two_covariance_buffers():
+    # the distances, then the kernel over them in one buffer, then the kernel and its factor: never
+    # three (P, P) arrays at once; 1,500 benchmark query points jittered off the lattice, about 0.2 s
+    cfg = benchmark_config()
+    scene = build_scene(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(37)
+    queries = query_points(cfg)[rng.choice(3_600, 1_500, replace=False)] + rng.uniform(-0.1, 0.1, (1_500, 2))
+    buffer = 8 * (len(queries) + scene.n_sensors) ** 2
+    tracemalloc.start()
+    try:
+        sample_joint_field(scene, 0, np.array([2.0, 25.3]), queries, np.random.default_rng(38))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.9 * buffer < peak < 2.5 * buffer
+
+
 _THREADED_DRAW = """
 import hashlib
 import numpy as np
@@ -419,10 +437,11 @@ def test_joint_field_draw_independent_of_blas_threads():
     """The benchmark scene's truth draw is byte-identical under 1 and 2 BLAS threads.
 
     This covers the lattice (FFT) draw only.  Byte identity of the full
-    artifacts under different thread counts still fails until the filter's
-    threaded triangular solves are removed (ROADMAP open item 1), and scenes
-    whose sensors are off the query lattice keep the dense Cholesky draw,
-    which still depends on the BLAS thread count.
+    artifacts under different thread counts still fails: the filter's
+    triangular solves are bitwise equal under 1 and 2 threads, but its dense
+    transition matvec ``P @ b`` is not (ROADMAP open item 5).  Scenes whose
+    sensors are off the query lattice keep the dense Cholesky draw, which
+    still depends on the BLAS thread count.
     """
     src = str(Path(chantrack.__file__).resolve().parents[1])
     digests = []

@@ -58,6 +58,7 @@ def test_query_spec_points_are_read_only_copy():
     # the map memo is keyed on the spec, so its points may not change under it
     pts = np.random.default_rng(20).uniform(0, 40, (5, 2))
     spec = QuerySpec(pts)
+    assert spec.n_points == 5
     assert not np.shares_memory(spec.points, pts)
     assert not spec.points.flags.writeable
     with pytest.raises(ValueError):

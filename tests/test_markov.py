@@ -26,9 +26,7 @@ FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
 def identity_dynamics(dim=1, initial=None):
     return StateDynamics(
-        dim=dim,
         step=lambda x, w: np.asarray(x, dtype=float),
-        noise_sampler=lambda rng, size: rng.standard_normal(size),
         noise_quantile=ndtri,
         initial=np.zeros(dim) if initial is None else np.asarray(initial, float),
     )
@@ -88,9 +86,7 @@ def test_markovian_identity_dynamics_gives_identity():
 def test_markovian_uniform_jump_dynamics():
     grid = GridSpec((0.0,), (1.0,), (2,))
     dyn = StateDynamics(
-        dim=1,
         step=lambda x, w: np.asarray(w, dtype=float)[..., None],
-        noise_sampler=lambda rng, size: rng.random(size),
         noise_quantile=lambda u: u,
         initial=np.array([0.25]),
     )
@@ -185,33 +181,6 @@ def test_markovian_finite_chain_columns_within_one_over_m():
             assert np.max(np.abs(tm.matrix - truth)) <= 1.0 / samples
 
 
-def _ks_distance(a, b):
-    """Sup distance between the empirical CDFs of two samples, at both sides of every jump."""
-    a, b = np.sort(a), np.sort(b)
-    at = np.concatenate([a, b])
-    return max(
-        np.max(np.abs(np.searchsorted(a, at, side) / len(a) - np.searchsorted(b, at, side) / len(b)))
-        for side in ("left", "right")
-    )
-
-
-@pytest.mark.parametrize("kind", ["coupled_tanh", "finite_chain"])
-def test_noise_sampler_and_quantile_state_one_law(kind):
-    # the DKW inequality (Massart 1990): P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2), so at n draws and
-    # delta = 1e-9 the KS distance stays below sqrt(ln(2 / delta) / 2n); the midpoint grid of the
-    # quantile adds at most 1 / grid to the distance, and each atom is a difference of two CDF values
-    dyn, _, _ = _marginal_edge_case(kind)
-    n, grid_points, delta = 10**5, 10**6, 1e-9
-    eps = math.sqrt(math.log(2.0 / delta) / (2 * n)) + 1.0 / grid_points
-    draws = dyn.noise_sampler(np.random.default_rng(35), n)
-    law = dyn.noise_quantile((np.arange(grid_points) + 0.5) / grid_points)
-    assert _ks_distance(draws, law) <= eps
-    if kind == "coupled_tanh":  # the clip's atoms at -1 and 1, each of mass Phi(-1)
-        for atom in (-1.0, 1.0):
-            assert np.mean(law == atom) == pytest.approx(0.158655, abs=1e-5)
-            assert abs(np.mean(draws == atom) - np.mean(law == atom)) <= 2 * eps
-
-
 def test_marginal_identity_from_fixed_start():
     grid = GridSpec((0.0,), (1.0,), (4,))
     dyn = identity_dynamics(initial=[cell_center(grid, 0)[0]])
@@ -250,7 +219,7 @@ def _per_step_marginal(dyn, grid, n_paths, path_length, rng):
     noises = []
     for p, sub in enumerate(rng.spawn(n_paths)):
         states[p] = dyn.initial_state()
-        noises.append(dyn.noise_sampler(sub, path_length - 1))
+        noises.append(dyn.noise_quantile(sub.random(path_length - 1)))
     noises = np.stack(noises)
     idx = np.empty((n_paths, path_length), dtype=np.int64)
     idx[:, 0] = cell_index(grid, states)
@@ -309,12 +278,12 @@ def test_marginal_blocks_match_per_step_quantization(monkeypatch, kind, path_len
 @pytest.mark.parametrize("kind", ["coupled_tanh", "finite_chain"])
 @pytest.mark.parametrize("split", [1, QUANTIZE_BLOCK - 1, QUANTIZE_BLOCK, QUANTIZE_BLOCK + 1])
 def test_builtin_noise_is_the_same_drawn_in_parts(kind, split):
-    # the StateDynamics contract the block-wise marginal estimator relies on
+    # the property of StateDynamics.noise the block-wise marginal estimator relies on
     dyn, _, _ = _marginal_edge_case(kind)
     total = 2 * QUANTIZE_BLOCK + 5
-    whole = dyn.noise_sampler(np.random.default_rng(32), total)
+    whole = dyn.noise(np.random.default_rng(32), total)
     rng = np.random.default_rng(32)
-    parts = np.concatenate([dyn.noise_sampler(rng, split), dyn.noise_sampler(rng, total - split)])
+    parts = np.concatenate([dyn.noise(rng, split), dyn.noise(rng, total - split)])
     assert np.array_equal(parts, whole)
 
 
@@ -408,7 +377,7 @@ def test_bench_dynamics_update_equations():
 
 def test_bench_noise_is_clipped_standard_normal():
     dyn = coupled_tanh_dynamics()
-    w = dyn.noise_sampler(np.random.default_rng(0), 50_000)
+    w = dyn.noise(np.random.default_rng(0), 50_000)
     assert np.all((w >= -1.0) & (w <= 1.0))
     assert np.mean(np.abs(w) == 1.0) > 0.2  # clipping actually binds
 
@@ -418,7 +387,7 @@ def test_finite_chain_dynamics_distribution():
     dyn = finite_chain_dynamics(points, FLIP, initial_index=1)
     assert np.array_equal(dyn.initial_state(), [1.0, 1.0])
     rng = np.random.default_rng(12)
-    w = dyn.noise_sampler(rng, 20_000)
+    w = dyn.noise(rng, 20_000)
     nxt = dyn.step(np.tile([0.0, 0.0], (20_000, 1)), w)
     flipped = np.mean(nxt[:, 0] == 1.0)
     assert abs(flipped - 0.3) < 0.02
@@ -434,9 +403,15 @@ LINE = GridSpec((0.0,), (1.0,), (2,))
         (lambda: estimate_transition_markovian(identity_dynamics(), LINE, 0, rng=0), "samples_per_cell must be >= 1"),
         (lambda: estimate_transition_markovian(identity_dynamics(), LINE, 2.5, rng=0), "samples_per_cell must be an int"),
         (lambda: estimate_transition_markovian(identity_dynamics(), LINE, True, rng=0), "samples_per_cell must be an int"),
-        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 0, 10, rng=0), "need n_paths >= 1"),
-        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 1, 1, rng=0), "path_length >= 2"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 0, 10, rng=0), "n_paths must be >= 1"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, True, 10, rng=0), "n_paths must be an int"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 2.0, 10, rng=0), "n_paths must be an int"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 1, 1, rng=0), "path_length must be >= 2"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 1, 50.0, rng=0), "path_length must be an int"),
+        (lambda: estimate_transition_marginal(identity_dynamics(), LINE, 1, True, rng=0), "path_length must be an int"),
         (lambda: simulate_trajectory(identity_dynamics(), -1, 0), "T must be >= 0"),
+        (lambda: simulate_trajectory(identity_dynamics(), True, 0), "T must be an int"),
+        (lambda: simulate_trajectory(identity_dynamics(), 2.5, 0), "T must be an int"),
     ],
     ids=[
         "flat_chain_points",
@@ -444,8 +419,14 @@ LINE = GridSpec((0.0,), (1.0,), (2,))
         "markovian_fractional_samples",
         "markovian_bool_samples",
         "marginal_paths",
+        "marginal_bool_paths",
+        "marginal_float_paths",
         "marginal_path_length",
+        "marginal_float_path_length",
+        "marginal_bool_path_length",
         "negative_steps",
+        "bool_steps",
+        "fractional_steps",
     ],
 )
 def test_input_checks(call, message):

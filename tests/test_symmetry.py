@@ -4,7 +4,10 @@ The observation model sees the sensors as a set, so permuting them together
 with each observation's ``y`` and ``alpha`` changes no likelihood, belief or
 gain map.  The kernel and the path loss depend on distances only, so a rigid
 motion of the reference antenna, the sensors and the query points together
-changes none of them either.  About 3 s in all.
+changes none of them either.  With a constant shadowing power, scaling it
+and the multipath variance by ``c`` and each observation's ``y`` and
+``alpha`` by ``sqrt(c)`` scales every likelihood by one constant, so no
+belief changes.  About 4 s in all.
 """
 
 import dataclasses
@@ -58,8 +61,12 @@ def _three_class_scene():
     return grid, chain, scene, observations, np.full(grid.n_cells, 1.0 / grid.n_cells), queries
 
 
-def test_sensor_order_changes_nothing():
-    grid, chain, scene, observations, prior, queries = _benchmark_scene()
+SCENES = pytest.mark.parametrize("make", [_benchmark_scene, _three_class_scene], ids=["benchmark", "three_classes"])
+
+
+@SCENES
+def test_sensor_order_changes_nothing(make):
+    grid, chain, scene, observations, prior, queries = make()
     perm = np.random.default_rng(5).permutation(scene.n_sensors)
     assert (perm != np.arange(scene.n_sensors)).any()
     permuted = [ObservationBatch(t=o.t, y=o.y[perm], alpha=o.alpha[perm]) for o in observations]
@@ -82,7 +89,7 @@ def _moved(points):
     return np.asarray(points) @ np.array([[c, s], [-s, c]]) + (123.4, -56.7)
 
 
-@pytest.mark.parametrize("make", [_benchmark_scene, _three_class_scene], ids=["benchmark", "three_classes"])
+@SCENES
 def test_rigid_motion_changes_nothing(make):
     grid, chain, scene, observations, prior, queries = make()
     moved = dataclasses.replace(scene, ref_pos=_moved(scene.ref_pos), sensors=_moved(scene.sensors))
@@ -98,3 +105,20 @@ def test_rigid_motion_changes_nothing(make):
     map_a = predict_gain_map(a, observations[-1], QuerySpec(queries))
     map_b = predict_gain_map(b, moved_obs[-1], QuerySpec(_moved(queries)))
     assert np.max(np.abs(map_a - map_b) / np.abs(map_a)) <= BOUND
+
+
+def test_shadowing_scale_changes_no_belief():
+    # y ~ N(alpha mu, theta1 R + sigma_xi_sq I): scaling y and alpha by sqrt(c) and the covariance by c
+    # multiplies every cell's likelihood by c^(-N/2), which the normalization removes
+    grid, chain, scene, observations, prior, _ = _three_class_scene()
+    c = 2.7
+    power, distance = scene.state_map.theta_bindings
+    scaled = dataclasses.replace(
+        scene,
+        sigma_xi_sq=c * scene.sigma_xi_sq,
+        state_map=dataclasses.replace(scene.state_map, theta_bindings=(c * power, distance)),
+    )
+    scaled_obs = [ObservationBatch(t=o.t, y=np.sqrt(c) * o.y, alpha=np.sqrt(c) * o.alpha) for o in observations]
+    beliefs_a = np.stack([r.belief for r in GridFilter(grid, chain, scene, prior).run_tracking(observations)])
+    beliefs_b = np.stack([r.belief for r in GridFilter(grid, chain, scaled, prior).run_tracking(scaled_obs)])
+    assert np.max(np.abs(beliefs_a - beliefs_b)) <= BOUND
