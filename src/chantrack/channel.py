@@ -185,10 +185,8 @@ class ChannelScene:
             raise ValueError("sigma_xi_sq must be finite and >= 0")
         if len(self.state_map.theta_bindings) != 2:
             raise ValueError("state map must bind exactly the kernel's 2 parameters")
-        d = np.linalg.norm(sens - ref, axis=-1)
-        if np.any(d < D_MIN):
-            i = int(np.argwhere(d.reshape(-1, d.shape[-1]) < D_MIN)[0][-1])
-            raise ValueError(f"sensor {i} is closer than {D_MIN} m to the reference antenna")
+        for frame in sens.reshape(-1, *sens.shape[-2:]):
+            point_path_loss(ref, frame, label="sensor")
         object.__setattr__(self, "ref_pos", ref)
         object.__setattr__(self, "sensors", sens)
         object.__setattr__(self, "sigma_xi_sq", float(self.sigma_xi_sq))

@@ -1,9 +1,11 @@
-"""Uniform hyperrectangular quantization of the channel-state space.
+"""Uniform hyperrectangular grids: the quantized channel-state space and the query lattice.
 
-The state lives in an axis-aligned box that is partitioned into a fixed
-number of equal-width cells per axis.  Cells are numbered linearly with
-axis 0 varying fastest, so the ordering is a pure function of the grid
-specification.  All functions here are pure and safe to call concurrently.
+A box is split into equal-width cells per axis, numbered linearly with axis 0
+varying fastest, so the ordering is a pure function of the specification.
+One box type serves both the state grid, whose cell centers the filter
+weighs, and the lattice a gain map is read on; ``reconstruction_matrix``
+alone places the centers.  All functions here are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import whole
+
 __all__ = [
     "GridSpec",
     "cell_index",
-    "cell_center",
     "reconstruction_matrix",
 ]
 
@@ -27,7 +30,8 @@ class GridSpec:
     Interior cell boundaries are half-open: a point exactly on a boundary
     belongs to the higher-index cell; the last cell along each axis is
     closed.  Points outside the box are clamped onto the nearest boundary
-    cell when quantized.
+    cell when quantized.  A cell count must be an integer (a numpy integer
+    too), never a bool, float or string: none is rounded.
     """
 
     lower: tuple[float, ...]
@@ -37,14 +41,12 @@ class GridSpec:
     def __post_init__(self):
         lower = tuple(float(v) for v in self.lower)
         upper = tuple(float(v) for v in self.upper)
-        cells = tuple(int(v) for v in self.cells)
-        if not (len(lower) == len(upper) == len(cells)) or not lower:
+        if not (len(lower) == len(upper) == len(self.cells)) or not lower:
             raise ValueError("lower, upper and cells must share a nonzero length")
-        for m, (lo, hi, n) in enumerate(zip(lower, upper, cells)):
+        for m, (lo, hi) in enumerate(zip(lower, upper)):
             if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
                 raise ValueError(f"axis {m}: bounds must be finite with lower < upper")
-            if n < 1:
-                raise ValueError(f"axis {m}: cell count must be >= 1, got {n}")
+        cells = tuple(whole(n, f"axis {m}: cell count", 1) for m, n in enumerate(self.cells))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "cells", cells)
@@ -93,19 +95,11 @@ def cell_index(grid: GridSpec, x) -> int | np.ndarray:
     return lin
 
 
-def cell_center(grid: GridSpec, l: int) -> np.ndarray:
-    """Center of mass of cell ``l``."""
-    if not 0 <= l < grid.n_cells:
-        raise ValueError(f"cell index {l} out of range [0, {grid.n_cells})")
-    per_axis = (l // grid.strides) % np.asarray(grid.cells)
-    return np.asarray(grid.lower) + (per_axis + 0.5) * grid.widths
-
-
 def reconstruction_matrix(grid: GridSpec) -> np.ndarray:
     """Matrix of cell centers, one column per cell in canonical order.
 
-    Shape is ``(grid.ndim, grid.n_cells)``; column ``l`` equals
-    ``cell_center(grid, l)``.
+    Shape is ``(grid.ndim, grid.n_cells)``; column ``l`` is the center of
+    mass of cell ``l``.
     """
     lin = np.arange(grid.n_cells, dtype=np.int64)
     per_axis = (lin[None, :] // grid.strides[:, None]) % np.asarray(grid.cells)[:, None]

@@ -27,7 +27,9 @@ snapshot times and write the artifacts:
   never-visited cells)
 * ``config_echo.json``  -- the resolved configuration, less the fields its kinds do not read
 
-Identical configurations produce byte-identical CSV artifacts.  A saved chain,
+Identical configurations produce byte-identical CSV artifacts on the same
+machine, numpy build and BLAS thread count; numpy's SIMD paths and a threaded
+BLAS each decide the last bits of some values.  A saved chain,
 ``transition.bin``, is a 112-byte header (the magic ``CGRIDP3\\0``, the sha256 of
 the canonical JSON of the echo's ``grid``, ``dynamics`` and ``quantization``, the
 patched count as ``<q``), then the row-major ``<f8`` matrix.  It loads only for a
@@ -356,13 +358,9 @@ def build_dynamics(cfg: ScenarioConfig) -> StateDynamics:
 
 
 def query_points(cfg: ScenarioConfig) -> np.ndarray:
-    """Evaluation lattice: cell centers of the query region, x varying fastest."""
+    """Evaluation lattice, one point per row: the cell centers of the query region, x varying fastest."""
     (x0, x1), (y0, y1) = cfg.query_grid.region
-    nx, ny = cfg.query_grid.nx, cfg.query_grid.ny
-    xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-    ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    return reconstruction_matrix(GridSpec((x0, y0), (x1, y1), (cfg.query_grid.nx, cfg.query_grid.ny))).T
 
 
 def _state_map(cfg: ScenarioConfig) -> StateToChannelMap:
@@ -470,15 +468,10 @@ def build(cfg: ScenarioConfig):
         states = np.vstack([states, d.points])
     with _fields("scene.kernel.params at a grid cell center or chain point"):
         kernel_eval(0.0, state_map.theta_of(states))
-    qg = cfg.query_grid
-    if qg.nx < 1 or qg.ny < 1:
-        raise ConfigError("query_grid.nx and query_grid.ny must be >= 1")
-    if len(qg.region) != 2 or any(len(r) != 2 for r in qg.region):
+    if len(cfg.query_grid.region) != 2 or any(len(r) != 2 for r in cfg.query_grid.region):
         raise ConfigError("query_grid.region must be two [lower, upper] pairs")
-    for axis, (lo, hi) in enumerate(qg.region):
-        if not lo < hi:
-            raise ConfigError(f"query_grid.region[{axis}] must satisfy lower < upper")
-    queries = query_points(cfg)
+    with _fields("query_grid"):
+        queries = query_points(cfg)
     with _fields("seed"):
         sensor_rng = streams(cfg).sensor
     sensors = "scene.sensors.positions" if sc.sensors.kind == "fixed" else "scene.sensors.n, query_grid"
@@ -525,7 +518,6 @@ class RunMetrics:
     rmse_map: dict[int, float]
     resets: int
     runtime_s: dict[str, float]
-    resolved_seed: int
     out_dir: Path | None = None
     artifacts: list[Path] = field(default_factory=list)
 
@@ -646,7 +638,6 @@ def run_experiment(
         rmse_map=rmse_map,
         resets=session.reset_count,
         runtime_s=runtime_s,
-        resolved_seed=cfg.seed,
     )
 
     if out is not None:
@@ -701,6 +692,8 @@ def load_transition(path, cfg: ScenarioConfig) -> TransitionMatrix:
 
     Another header (as the first two versions') is "bad magic"; another key section, a size other
     than ``cfg``'s grid's or a patched count outside ``[0, n_cells]`` is a ``ValueError`` as well.
+    The file carries no machine key, so a loaded chain's bytes are used as they are, whatever
+    machine, numpy build or thread count estimated them.
     """
     with open(path, "rb") as fh:
         head = fh.read(_TRANSITION_HEADER.size)

@@ -27,7 +27,6 @@ over cells or paths would reproduce the sequential result bit for bit.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .grid import GridSpec, cell_index, reconstruction_matrix
-from .util import as_rng
+from .util import as_rng, whole
 
 __all__ = [
     "horizon_steps",
@@ -70,12 +69,19 @@ class StateDynamics:
     ``1.0``, which rounding can reach), so the noise is distributed as
     ``noise_quantile(U)`` for ``U`` uniform on ``[0, 1)``, atoms included.
     ``initial`` is the fixed state vector the chain starts from; ``dim`` is
-    its length.
+    its length.  Construction probes ``step`` once, from ``initial`` at the
+    noise median, and rejects a ``step`` that changes the state's shape.
     """
 
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_quantile: Callable[[np.ndarray], np.ndarray]
     initial: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.initial, dtype=float)[None, :]
+        shape = np.shape(self.step(x, self.noise_quantile(np.full(1, 0.5))))
+        if shape != x.shape:
+            raise ValueError(f"step maps a state of shape {x.shape} to one of shape {shape}; it must keep the dimension")
 
     @property
     def dim(self) -> int:
@@ -216,7 +222,7 @@ def estimate_transition_markovian(
     so an entry that ``r`` intervals of ``u`` map to is within ``r / M`` of
     the exact one.  The source state is always the reconstruction point itself.
     """
-    m = _whole(samples_per_cell, "samples_per_cell", 1)
+    m = whole(samples_per_cell, "samples_per_cell", 1)
     centers = reconstruction_matrix(grid).T
     n = grid.n_cells
     shifts = as_rng(rng).random(n)
@@ -249,8 +255,8 @@ def estimate_transition_marginal(
     Split draws of :meth:`StateDynamics.noise` equal one call, so the result is
     bitwise that of drawing each path's noise at once and quantizing every step alone.
     """
-    n_paths = _whole(n_paths, "n_paths", 1)
-    path_length = _whole(path_length, "path_length", 2)
+    n_paths = whole(n_paths, "n_paths", 1)
+    path_length = whole(path_length, "path_length", 2)
     rng = as_rng(rng)
     subs = rng.spawn(n_paths)
     counts = np.zeros((grid.n_cells, grid.n_cells))
@@ -285,22 +291,9 @@ def initial_belief(dyn: StateDynamics, grid: GridSpec) -> np.ndarray:
     return one_hot_belief(grid.n_cells, cell_index(grid, dyn.initial_state()))
 
 
-def _whole(value, name: str, least: int) -> int:
-    """``value`` as an ``int`` of at least ``least``; a bool, a float, a string or a smaller number is a ``ValueError``, never rounded."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
-    return n
-
-
 def horizon_steps(rho) -> int:
     """The forecast horizon ``rho`` as a step count; a bool, a float, a string or a negative is a ``ValueError``, never rounded."""
-    return _whole(rho, "rho", 0)
+    return whole(rho, "rho", 0)
 
 
 def propagate_profile(profile, matrix: np.ndarray, rho: int) -> np.ndarray:
@@ -323,7 +316,7 @@ def simulate_trajectory(dyn: StateDynamics, T: int, rng=None) -> np.ndarray:
     Row 0 is the initial state; row ``t`` is reached after ``t`` steps with
     fresh independent noise.  Deterministic given the generator state.
     """
-    T = _whole(T, "T", 0)
+    T = whole(T, "T", 0)
     rng = as_rng(rng)
     out = np.empty((T + 1, dyn.dim))
     x = dyn.initial_state()

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import operator
 from contextlib import nullcontext
 
 import numpy as np
 
-__all__ = ["as_rng", "single_thread_blas"]
+__all__ = ["as_rng", "single_thread_blas", "whole"]
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -14,6 +15,19 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def whole(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` of at least ``least``; a bool, a float, a string or a smaller number is a ``ValueError``, never rounded."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 try:

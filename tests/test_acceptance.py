@@ -19,7 +19,7 @@ from chantrack.channel import (
     sample_observation,
 )
 from chantrack.filtering import GridFilter, brute_force_posterior
-from chantrack.grid import GridSpec, cell_center, reconstruction_matrix
+from chantrack.grid import GridSpec, reconstruction_matrix
 from chantrack.harness import (
     benchmark_config,
     build_dynamics,
@@ -162,7 +162,7 @@ def test_criterion_4_dense_oracle_numerics():
 def test_criterion_5_transition_concentration():
     t0 = time.perf_counter()
     grid = GridSpec((0.0,), (1.0,), (2,))
-    points = [cell_center(grid, 0), cell_center(grid, 1)]
+    points = reconstruction_matrix(grid).T
     dyn = finite_chain_dynamics(points, FLIP)
 
     markovian = estimate_transition_markovian(dyn, grid, samples_per_cell=500_000, rng=51)

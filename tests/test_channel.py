@@ -76,6 +76,10 @@ def test_path_loss_singularity_names_sensor():
     scene = make_scene([[26.0, 10.0]])
     with pytest.raises(ValueError, match="query point 0"):
         point_path_loss(scene.ref_pos, np.array([[25.0, 10.0]]), label="query point")
+    scripted = np.tile([[26.0, 10.0], [30.0, 10.0], [20.0, 10.0]], (4, 1, 1))
+    scripted[2, 1] = (25.0, 10.0)  # named by its index within the frame, not by the flat index 7
+    with pytest.raises(ValueError, match="sensor 1 is closer"):
+        make_scene(scripted)
 
 
 @pytest.mark.parametrize("sensors", [np.empty((0, 2)), np.empty((3, 0, 2))])

@@ -280,6 +280,9 @@ def test_unconvertible_field_is_config_error(config_path, tmp_path, capsys, fiel
         ("scene", "ref_pos", [1.0], "scene.ref_pos"),
         ("query_grid", "region", [[0.0, 40.0]], "query_grid.region"),
         ("query_grid", "region", [[0.0, 40.0, 50.0], [0.0, 40.0]], "query_grid.region"),
+        ("query_grid", "nx", 0, "query_grid: axis 0: cell count must be >= 1"),
+        ("query_grid", "ny", 0, "query_grid: axis 1: cell count must be >= 1"),
+        ("query_grid", "region", [[0.0, 40.0], [40.0, 0.0]], "query_grid: axis 1: bounds must be finite with lower < upper"),
         ("scene", "kernel", {"params": [{"const": -1.0}, {"const": 10.0}]}, "scene.kernel.params[0]"),
         ("scene", "kernel", {"params": [{"state": 1}, {"const": 0.0}]}, "scene.kernel.params[1]"),
         ("scene", "kernel", {"params": [{"state": 1}]}, "scene.kernel.params"),

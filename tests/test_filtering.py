@@ -18,7 +18,7 @@ from chantrack.filtering import (
     _normalized_update,
     brute_force_posterior,
 )
-from chantrack.grid import GridSpec, cell_center, reconstruction_matrix
+from chantrack.grid import GridSpec, reconstruction_matrix
 from chantrack.harness import benchmark_config, build, random_small_scenario
 from chantrack.kriging import QuerySpec, predict_gain_map
 from chantrack.markov import TransitionMatrix, one_hot_belief, uniform_belief
@@ -162,7 +162,7 @@ def test_estimate_examples():
     scene = const_theta_scene([[26.0, 10.0]])
     tm = TransitionMatrix(FLIP, mode="markovian")
     one_hot_session = GridFilter(grid, tm, scene, one_hot_belief(2, 0))
-    assert np.array_equal(one_hot_session.estimate(), cell_center(grid, 0))
+    assert np.array_equal(one_hot_session.estimate(), reconstruction_matrix(grid)[:, 0])
     uniform_session = GridFilter(grid, tm, scene, uniform_belief(2))
     assert uniform_session.estimate()[0] == pytest.approx(0.5, abs=1e-15)
     ahead = GridFilter(grid, tm, scene, one_hot_belief(2, 0), rho=1)
@@ -245,7 +245,7 @@ def test_absorbing_chain_concentrates_monotonically():
     tm = TransitionMatrix(p, mode="markovian")
     session = GridFilter(grid, tm, scene, uniform_belief(3))
     alpha = -10 * np.log10(np.linalg.norm(scene.sensors - scene.ref_pos, axis=1))
-    mu_absorbing = cell_center(grid, 1)[0]
+    mu_absorbing = reconstruction_matrix(grid)[0, 1]
     weight = session.belief[1]
     for t in range(30):
         out = session.step(ObservationBatch(t=t, y=alpha * mu_absorbing, alpha=alpha))

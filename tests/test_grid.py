@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chantrack.grid import GridSpec, cell_center, cell_index, reconstruction_matrix
+from chantrack.grid import GridSpec, cell_index, reconstruction_matrix
 
 
 @pytest.fixture
@@ -21,28 +21,34 @@ def test_spec_validation():
     assert np.allclose(g.widths, [4 / 30, 0.6 / 30])
 
 
+@pytest.mark.parametrize("count", [2.7, True, "3", np.float64(4.9)], ids=["float", "bool", "str", "np_float"])
+def test_spec_rejects_non_integer_cell_count(count):
+    # each used to be truncated silently, to 2, 1, 3 and 4 cells
+    with pytest.raises(ValueError, match=r"axis 1: cell count must be an integer"):
+        GridSpec((0.0, 0.0), (1.0, 1.0), (2, count))
+
+
+def test_spec_takes_numpy_integer_cell_counts():
+    g = GridSpec((0.0, 0.0), (1.0, 1.0), (np.int64(3), np.uint8(2)))
+    assert g.cells == (3, 2) and all(type(n) is int for n in g.cells)
+    assert g == GridSpec((0.0, 0.0), (1.0, 1.0), (3, 2))
+
+
 def test_cell_center_examples():
     g1 = GridSpec((0.0,), (1.0,), (2,))
-    assert cell_center(g1, 0) == pytest.approx(0.25)
-    assert cell_center(g1, 1) == pytest.approx(0.75)
+    assert reconstruction_matrix(g1)[:, 0] == pytest.approx(0.25)
+    assert reconstruction_matrix(g1)[:, 1] == pytest.approx(0.75)
     g2 = GridSpec((0.0,), (4.0,), (4,))
-    assert cell_center(g2, 3) == pytest.approx(3.5)
+    assert reconstruction_matrix(g2)[:, 3] == pytest.approx(3.5)
 
 
 def test_cell_center_bench_grid(bench_grid):
     w1, w2 = 4 / 30, 0.6 / 30
-    assert np.allclose(cell_center(bench_grid, 0), [w1 / 2, 25.0 + w2 / 2], rtol=0, atol=1e-12)
-
-
-def test_cell_center_out_of_range(bench_grid):
-    with pytest.raises(ValueError):
-        cell_center(bench_grid, -1)
-    with pytest.raises(ValueError):
-        cell_center(bench_grid, 900)
+    assert np.allclose(reconstruction_matrix(bench_grid)[:, 0], [w1 / 2, 25.0 + w2 / 2], rtol=0, atol=1e-12)
 
 
 def test_cell_index_examples(bench_grid):
-    assert cell_index(bench_grid, cell_center(bench_grid, 0)) == 0
+    assert cell_index(bench_grid, reconstruction_matrix(bench_grid)[:, 0]) == 0
     g = GridSpec((0.0,), (1.0,), (2,))
     assert cell_index(g, [0.3]) == 0
     assert cell_index(g, [0.7]) == 1

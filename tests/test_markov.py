@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 import chantrack.markov as markov
-from chantrack.grid import GridSpec, cell_center, cell_index, reconstruction_matrix
+from chantrack.grid import GridSpec, cell_index, reconstruction_matrix
 from chantrack.markov import (
     QUANTIZE_BLOCK,
     StateDynamics,
@@ -76,6 +76,16 @@ def test_coupled_tanh_rejects_initial_state_of_wrong_length(initial):
         coupled_tanh_dynamics(initial=initial)
 
 
+def test_dynamics_rejects_step_that_changes_dimension():
+    # this used to fail only in simulate_trajectory, as a numpy broadcast error
+    with pytest.raises(ValueError, match=r"step maps a state of shape \(1, 2\) to one of shape \(1, 3\)"):
+        StateDynamics(
+            step=lambda x, w: np.concatenate([x, np.asarray(w)[..., None]], axis=-1),
+            noise_quantile=ndtri,
+            initial=np.zeros(2),
+        )
+
+
 def test_markovian_identity_dynamics_gives_identity():
     grid = GridSpec((0.0,), (1.0,), (4,))
     tm = estimate_transition_markovian(identity_dynamics(), grid, samples_per_cell=50, rng=0)
@@ -136,7 +146,7 @@ def test_markovian_concentration_bound():
     rng = np.random.default_rng(5)
     cols = rng.random((3, 3)) + 0.2
     truth = cols / cols.sum(axis=0)
-    points = [cell_center(grid, l) for l in range(3)]
+    points = reconstruction_matrix(grid).T
     dyn = finite_chain_dynamics(points, truth)
     samples = 2_000
     bound = 4 * np.sqrt(0.25 / samples)
@@ -174,7 +184,7 @@ def test_markovian_finite_chain_columns_within_one_over_m():
     grid = GridSpec((0.0,), (1.0,), (5,))
     cols = np.random.default_rng(34).random((5, 5)) + 0.05
     truth = cols / cols.sum(axis=0)
-    dyn = finite_chain_dynamics([cell_center(grid, l) for l in range(5)], truth)
+    dyn = finite_chain_dynamics(reconstruction_matrix(grid).T, truth)
     for samples in (7, 100, 2_000):
         for seed in range(5):
             tm = estimate_transition_markovian(dyn, grid, samples_per_cell=samples, rng=seed)
@@ -183,7 +193,7 @@ def test_markovian_finite_chain_columns_within_one_over_m():
 
 def test_marginal_identity_from_fixed_start():
     grid = GridSpec((0.0,), (1.0,), (4,))
-    dyn = identity_dynamics(initial=[cell_center(grid, 0)[0]])
+    dyn = identity_dynamics(initial=[reconstruction_matrix(grid)[0, 0]])
     with pytest.warns(UserWarning, match="unvisited"):
         tm = estimate_transition_marginal(dyn, grid, n_paths=3, path_length=50, rng=0)
     assert tm.mode == "marginal"
@@ -195,7 +205,7 @@ def test_marginal_identity_from_fixed_start():
 
 def test_marginal_two_state_chain():
     grid = GridSpec((0.0,), (1.0,), (2,))
-    points = [cell_center(grid, 0), cell_center(grid, 1)]
+    points = reconstruction_matrix(grid).T
     dyn = finite_chain_dynamics(points, FLIP)
     tm = estimate_transition_marginal(dyn, grid, n_paths=10, path_length=10_001, rng=3)
     assert tm.patched_columns == 0
@@ -240,7 +250,7 @@ def _marginal_edge_case(kind):
         return coupled_tanh_dynamics(), GridSpec((0.0, 25.0), (4.0, 25.6), (30, 30)), 7
     grid = GridSpec((0.0,), (1.0,), (5,))
     cols = np.random.default_rng(30).random((5, 5)) + 0.05
-    points = [cell_center(grid, l) for l in range(5)]
+    points = reconstruction_matrix(grid).T
     return finite_chain_dynamics(points, cols / cols.sum(axis=0), initial_index=2), grid, 3
 
 

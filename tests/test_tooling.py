@@ -39,6 +39,44 @@ def test_package_does_not_import_scipy_spatial():
     assert proc.stdout.strip() == "[]"
 
 
+_FAKE_THREADPOOLCTL = """
+from contextlib import contextmanager
+
+entered = []
+
+
+@contextmanager
+def threadpool_limits(limits=None, user_api=None):
+    entered.append(limits)
+    yield
+"""
+
+_TRACK_UNDER_FAKE = """
+import numpy as np
+import threadpoolctl
+from chantrack.filtering import GridFilter
+from chantrack.harness import random_small_scenario
+
+grid, transition, scene, observations, prior = random_small_scenario(np.random.default_rng(0), 4, 3, 5)
+session = GridFilter(grid, transition, scene, prior)
+before = len(threadpoolctl.entered)
+session.run_tracking(observations)
+print(threadpoolctl.entered[before:])
+"""
+
+
+def test_run_tracking_pins_blas_through_threadpoolctl(tmp_path):
+    # threadpoolctl is optional; a stand-in module on PYTHONPATH records the limits it is entered with; about 1 s
+    (tmp_path / "threadpoolctl.py").write_text(_FAKE_THREADPOOLCTL)
+    env = _source_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], str(tmp_path)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACK_UNDER_FAKE], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "[1]"
+
+
 def test_cli_exit_codes_reach_the_process(tmp_path):
     # `python -m chantrack.cli` exits through entry() and sys.exit with main()'s code
     bad = tmp_path / "bad.json"
